@@ -31,9 +31,15 @@ __all__ = ["daily_route_churn"]
 def daily_route_churn(dataset: Dataset) -> Table:
     """Daily route-change counts across all (eyeball, site) pairs in 2022.
 
-    Rebuilds the same routing stack the generator used (same seed, same
-    damage processes) and replays it day by day.  Output columns: ``date``,
-    ``day``, ``changes``, ``withdrawals``.
+    Builds a routing stack of the same kind as the generator's -- same seed,
+    same outage schedule, same degradation schedules -- and replays it day
+    by day over every pair.  It is not the generator's stack: its fresh
+    :class:`EdgeDamageModel` draws each (city, day) damage wobble the first
+    time a route asks for it, while the generator draws them city by day
+    when it averages wartime severity.  So link quality, and with it a
+    route that quality decides, can differ from the route the generated
+    tests took on the same day.  Output columns: ``date``, ``day``,
+    ``changes``, ``withdrawals``.
     """
     topo = dataset.topology
     cfg = dataset.config

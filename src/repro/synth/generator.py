@@ -408,6 +408,37 @@ class DatasetGenerator:
                 )
             return best_rtt_cache[key]
 
+        def route_conditions(
+            path: AsPath, day_ordinal: int, tput_factor: float
+        ) -> PathConditions:
+            """What a route adds to its tests' metrics on a day.
+
+            Only untagged links add a penalty, and their quality never reads
+            edge severity, so the result is a function of (path, day) and one
+            value serves every test on that route that day.
+            """
+            links = selector.links(path)
+            path_rtt = sum(l.base_rtt_ms for l in links)
+            extra_rtt = max(0.0, path_rtt - best_path_rtt(path.asns[0], path.asns[-1]))
+            extra_loss = 0.0
+            for link in links:
+                # City-tagged (access) links influence routing but add no
+                # metric penalty: the calibrated city/AS targets already
+                # embody edge damage.  Untagged links with *performance-
+                # affecting* schedules (the AS6663 congestion) do contribute
+                # — the Figure-6 signal.  Routing-only withdrawals (Cogent)
+                # never do.
+                if link.city is not None:
+                    continue
+                q = quality.performance_quality(link, day_ordinal)
+                extra_rtt += (1.0 - q) * _LINK_RTT_PENALTY_MS
+                extra_loss += (1.0 - q) * _LINK_LOSS_PENALTY
+            return PathConditions(
+                extra_rtt_ms=extra_rtt,
+                extra_loss=min(1.0, extra_loss),
+                tput_factor=tput_factor,
+            )
+
         outage_days = {
             e.day.ordinal
             for e in intensity.events_of_kind(EventKind.OUTAGE)
@@ -467,6 +498,7 @@ class DatasetGenerator:
                     if (in_war and day.ordinal in outage_days)
                     else 1.0
                 )
+                day_conditions: Dict[Tuple[int, ...], PathConditions] = {}
 
                 for (city, asn), n_tests in sorted(counts.items()):
                     sev = edge.severity(city, day) if in_war else 0.0
@@ -501,28 +533,11 @@ class DatasetGenerator:
                         if path is None:
                             n_unroutable += 1
                             continue
-                        links = path.links(topo.graph)
-                        path_rtt = sum(l.base_rtt_ms for l in links)
-                        extra_rtt = max(0.0, path_rtt - best_path_rtt(asn, site.asn))
-                        extra_loss = 0.0
-                        for link in links:
-                            # City-tagged (access) links influence routing
-                            # but add no metric penalty: the calibrated
-                            # city/AS targets already embody edge damage.
-                            # Untagged links with *performance-affecting*
-                            # schedules (the AS6663 congestion) do
-                            # contribute — the Figure-6 signal.  Routing-
-                            # only withdrawals (Cogent) never do.
-                            if link.city is not None:
-                                continue
-                            q = quality.performance_quality(link, day.ordinal)
-                            extra_rtt += (1.0 - q) * _LINK_RTT_PENALTY_MS
-                            extra_loss += (1.0 - q) * _LINK_LOSS_PENALTY
-                        conditions = PathConditions(
-                            extra_rtt_ms=extra_rtt,
-                            extra_loss=min(1.0, extra_loss),
-                            tput_factor=tput_factor,
-                        )
+                        conditions = day_conditions.get(path.asns)
+                        if conditions is None:
+                            conditions = day_conditions[path.asns] = route_conditions(
+                                path, day.ordinal, tput_factor
+                            )
                         tput, rtt, loss = tcp.measure(params, conditions)
                         label = geodb.lookup(client_ip)
                         version, cca = protocol_model.sample(year, protocol_rng)

@@ -13,7 +13,7 @@ from degraded upstreams, e.g. AS199995 shifting toward Hurricane Electric).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,12 @@ from repro.util.errors import TopologyError
 __all__ = ["AsPath", "RouteSelector", "StickyRouter", "valley_free_paths"]
 
 LinkKey = Tuple[int, int]
+
+#: Default search depth, result count and raw-path cap of
+#: :func:`valley_free_paths`, which the route selector's candidate lists use.
+_MAX_HOPS = 7
+_MAX_PATHS = 64
+_RAW_CAP = _MAX_PATHS * 4
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,8 @@ def valley_free_paths(
     src: int,
     dst: int,
     excluded: FrozenSet[LinkKey] = frozenset(),
-    max_hops: int = 7,
-    max_paths: int = 64,
+    max_hops: int = _MAX_HOPS,
+    max_paths: int = _MAX_PATHS,
 ) -> List[AsPath]:
     """Enumerate valley-free paths from ``src`` to ``dst``, best-ranked first.
 
@@ -69,6 +75,29 @@ def valley_free_paths(
     up*-peer?-down* automaton with per-path loop prevention, bounded by
     ``max_hops``; results are sorted by :meth:`AsPath.rank` and truncated to
     ``max_paths``.
+
+    The search also stops descending once it holds ``max_paths * 4`` raw
+    paths.  Below that cap the result is exact: the best ``max_paths`` of
+    every valley-free path within ``max_hops``.  At the cap it is the best of
+    whichever paths the depth-first order reached first, so it depends on
+    the order :class:`ASGraph` lists neighbours in, and excluding a link can
+    surface a path that the unrestricted search never reached.
+    """
+    return _ranked_paths(graph, src, dst, excluded, max_hops, max_paths * 4)[:max_paths]
+
+
+def _ranked_paths(
+    graph: ASGraph,
+    src: int,
+    dst: int,
+    excluded: FrozenSet[LinkKey],
+    max_hops: int,
+    raw_cap: int,
+) -> List[AsPath]:
+    """Every path the capped search finds (see :func:`valley_free_paths`), by rank.
+
+    The list is complete -- no branch was cut by the cap -- exactly when it
+    holds fewer than ``raw_cap`` paths.
     """
     if src == dst:
         return [AsPath((src,), used_up=False, used_peer=False)]
@@ -79,7 +108,7 @@ def valley_free_paths(
     results: List[AsPath] = []
     # Phase: 0 = may still climb, 1 = crossed the peak (peer edge), 2 = descending.
     def dfs(node: int, phase: int, path: List[int], used_up: bool, used_peer: bool) -> None:
-        if len(results) >= max_paths * 4:
+        if len(results) >= raw_cap:
             return  # enough raw candidates; ranking keeps the best
         if len(path) - 1 >= max_hops:
             return
@@ -106,7 +135,7 @@ def valley_free_paths(
 
     dfs(src, 0, [src], False, False)
     results.sort(key=AsPath.rank)
-    return results[:max_paths]
+    return results
 
 
 class RouteSelector:
@@ -123,7 +152,10 @@ class RouteSelector:
     ----------
     quality_fn:
         ``quality_fn(link, day_ordinal) -> float in (0, 1]``; down links are
-        excluded before sampling (see :func:`valley_free_paths`).
+        excluded before sampling (see :func:`valley_free_paths`).  It must be
+        a function of (link, day) alone for the selector's lifetime: the
+        :class:`StickyRouter` built on the selector keeps the routes that
+        quality decides and reuses them.
     rank_decay:
         Weight multiplier per (class, hops) tier.
     within_decay:
@@ -150,6 +182,9 @@ class RouteSelector:
         self._within_decay = within_decay
         self._max_candidates = max_candidates
         self._path_cache: dict = {}
+        self._pair_paths: Dict[Tuple[int, int], List[AsPath]] = {}
+        self._tie_breaks: Dict[Tuple[int, int, Tuple[int, ...]], float] = {}
+        self._links: Dict[Tuple[int, ...], Tuple[List[Link], FrozenSet[LinkKey]]] = {}
 
     def candidates(
         self, src: int, dst: int, excluded: FrozenSet[LinkKey]
@@ -161,25 +196,64 @@ class RouteSelector:
         break policy ties differently (IGP distances, contracts), and a
         global tie-break would funnel the whole country through whichever
         carrier happens to sort first.
+
+        The pair's paths are enumerated once, without exclusions; an outage
+        set keeps those that use no down link.  Exclusion only prunes the
+        search, so that equals searching with the exclusions, as long as the
+        unrestricted search stayed under its raw cap.  A pair that reached
+        the cap is searched again with the exclusions.
         """
         key = (src, dst, excluded)
-        if key not in self._path_cache:
-            paths = valley_free_paths(self._graph, src, dst, excluded)
+        cached = self._path_cache.get(key)
+        if cached is None:
+            ranked = self._pair_paths.get((src, dst))
+            if ranked is None:
+                ranked = _ranked_paths(
+                    self._graph, src, dst, frozenset(), _MAX_HOPS, _RAW_CAP
+                )
+                self._pair_paths[(src, dst)] = ranked
+            if len(ranked) < _RAW_CAP or not excluded:
+                paths = [p for p in ranked if self.link_keys(p).isdisjoint(excluded)]
+                del paths[_MAX_PATHS:]
+            else:
+                paths = valley_free_paths(self._graph, src, dst, excluded)
             paths.sort(
                 key=lambda p: (
                     int(p.used_up),
                     int(p.used_peer),
                     p.n_hops,
-                    _stable_rng(src, dst, *p.asns).random(),
+                    self._tie_break(src, dst, p),
                 )
             )
-            self._path_cache[key] = paths[: self._max_candidates]
-        return self._path_cache[key]
+            cached = self._path_cache[key] = paths[: self._max_candidates]
+        return cached
+
+    def _tie_break(self, src: int, dst: int, path: AsPath) -> float:
+        key = (src, dst, path.asns)
+        draw = self._tie_breaks.get(key)
+        if draw is None:
+            draw = self._tie_breaks[key] = _stable_rng(src, dst, *path.asns).random()
+        return draw
+
+    def _path_links(self, path: AsPath) -> Tuple[List[Link], FrozenSet[LinkKey]]:
+        entry = self._links.get(path.asns)
+        if entry is None:
+            links = path.links(self._graph)
+            entry = self._links[path.asns] = (links, frozenset(l.key for l in links))
+        return entry
+
+    def links(self, path: AsPath) -> List[Link]:
+        """``path.links(graph)``, resolved once per path; do not mutate."""
+        return self._path_links(path)[0]
+
+    def link_keys(self, path: AsPath) -> FrozenSet[LinkKey]:
+        """Canonical keys of the path's links."""
+        return self._path_links(path)[1]
 
     def _link_factor(self, path: AsPath, day_ordinal: int) -> float:
         """Product of local-pref x quality over the path's links."""
         factor = 1.0
-        for link in path.links(self._graph):
+        for link in self.links(path):
             quality = self._quality_fn(link, day_ordinal)
             if not 0.0 < quality <= 1.0:
                 raise ValueError(
@@ -234,10 +308,6 @@ class RouteSelector:
     def cache_size(self) -> int:
         return len(self._path_cache)
 
-    @property
-    def graph(self) -> ASGraph:
-        return self._graph
-
 
 def _stable_rng(*parts: int) -> np.random.Generator:
     """A generator seeded purely by its integer arguments (process-stable)."""
@@ -256,16 +326,22 @@ class StickyRouter:
     change) replaces it.  The sticky router therefore:
 
     * gives each (src, dst) pair a *frozen Gumbel-max* choice: candidate
-      scores are ``log(weight) + pair_noise + 0.35 * epoch_noise``, where
-      the pair noise never changes.  Across many pairs the selected routes
-      follow the weight distribution (so local-prefs and quality shape
-      aggregate shares), while each single pair keeps its route until the
-      underlying weights move — exactly how a degrading upstream (the
+      scores are ``log(weight) + pair_noise + EPOCH_JITTER * epoch_noise``,
+      where the pair noise never changes.  Across many pairs the selected
+      routes follow the weight distribution (so local-prefs and quality
+      shape aggregate shares), while each single pair keeps its route until
+      the underlying weights move — exactly how a degrading upstream (the
       Figure-6 AS 6663 ramp) sheds pairs one by one.  The small
       epoch-scoped noise adds the occasional routine reconvergence.
     * fails over deterministically-for-the-day when the sticky route
       traverses a link that is down, and reverts once it is repaired —
       wartime outages are what inject the *new* paths of Table 2.
+
+    Every draw is seeded by its arguments alone, so the router resolves
+    each (src, dst, epoch) choice and each (src, dst, day, down set)
+    failover once and returns the same path on a repeat.  That assumes the
+    selector's ``quality_fn`` is a function of (link, day) for the router's
+    lifetime.  A call that raises is not remembered and raises again.
     """
 
     #: Relative strength of the per-epoch jitter vs the frozen pair noise.
@@ -281,14 +357,29 @@ class StickyRouter:
         self._seed = int(seed)
         self._epoch_days = epoch_days
         self._epoch_choice: dict = {}
+        self._offsets: Dict[Tuple[int, int], int] = {}
+        self._pair_noise: Dict[Tuple[int, int, Tuple[int, ...]], float] = {}
+        self._failovers: Dict[Tuple[int, int, int, FrozenSet[LinkKey]], Optional[AsPath]] = {}
 
     def _pair_offset(self, src: int, dst: int) -> int:
-        return int(_stable_rng(self._seed, src, dst, 1).integers(self._epoch_days))
+        offset = self._offsets.get((src, dst))
+        if offset is None:
+            offset = int(_stable_rng(self._seed, src, dst, 1).integers(self._epoch_days))
+            self._offsets[(src, dst)] = offset
+        return offset
 
     @staticmethod
     def _gumbel(rng: np.random.Generator) -> float:
         u = rng.random()
         return -np.log(-np.log(min(max(u, 1e-12), 1.0 - 1e-12)))
+
+    def _frozen_noise(self, src: int, dst: int, path: AsPath) -> float:
+        key = (src, dst, path.asns)
+        noise = self._pair_noise.get(key)
+        if noise is None:
+            noise = self._gumbel(_stable_rng(self._seed, src, dst, *path.asns))
+            self._pair_noise[key] = noise
+        return noise
 
     def _choose(self, src: int, dst: int, epoch: int, epoch_start: int) -> Optional[AsPath]:
         candidates = self._selector.candidates(src, dst, frozenset())
@@ -300,7 +391,7 @@ class StickyRouter:
         for i, (path, weight) in enumerate(zip(candidates, weights)):
             if weight <= 0:
                 continue
-            pair_noise = self._gumbel(_stable_rng(self._seed, src, dst, *path.asns))
+            pair_noise = self._frozen_noise(src, dst, path)
             epoch_noise = self._gumbel(
                 _stable_rng(self._seed, src, dst, epoch, *path.asns)
             )
@@ -327,9 +418,17 @@ class StickyRouter:
         path = self._epoch_choice[key]
         if path is None:
             return None
-        if down_links and any(
-            link.key in down_links for link in path.links(self._selector.graph)
-        ):
-            rng = _stable_rng(self._seed, src, dst, day_ordinal, 2)
-            return self._selector.select(src, dst, day_ordinal, down_links, rng)
+        if down_links and not self._selector.link_keys(path).isdisjoint(down_links):
+            return self._failover(src, dst, day_ordinal, down_links)
         return path
+
+    def _failover(
+        self, src: int, dst: int, day_ordinal: int, down_links: FrozenSet[LinkKey]
+    ) -> Optional[AsPath]:
+        key = (src, dst, day_ordinal, down_links)
+        if key not in self._failovers:
+            rng = _stable_rng(self._seed, src, dst, day_ordinal, 2)
+            self._failovers[key] = self._selector.select(
+                src, dst, day_ordinal, down_links, rng
+            )
+        return self._failovers[key]

@@ -19,7 +19,7 @@ occasional one-off variant.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class ScamperSidecar:
         self._epoch_days = epoch_days
         self._ecmp_slots = ecmp_slots
         self._jitter = jitter
+        # Hop identities are hashes of their keys alone: resolve each once.
+        self._offsets: Dict[Tuple[int, int, int], int] = {}
+        self._routers: Dict[Tuple[int, int, int, int], IPv4Address] = {}
+        self._gateways: Dict[Tuple[int, Optional[str], int], IPv4Address] = {}
 
     def _epoch(self, asn: int, prev_asn: int, next_asn: int, day_ordinal: int) -> int:
         """The adjacency's routing epoch on a day.
@@ -82,15 +86,45 @@ class ScamperSidecar:
         the same day (which would make path churn systematically uneven
         across analysis windows).
         """
-        offset = _stable_index((asn, prev_asn, next_asn, 7919), self._epoch_days)
+        key = (asn, prev_asn, next_asn)
+        offset = self._offsets.get(key)
+        if offset is None:
+            offset = _stable_index(key + (7919,), self._epoch_days)
+            self._offsets[key] = offset
         return (day_ordinal + offset) // self._epoch_days
 
     def _router_for(
         self, asn: int, prev_asn: int, next_asn: int, slot: int
     ) -> IPv4Address:
         """The router interface AS ``asn`` shows for this adjacency and slot."""
-        index = _stable_index((asn, prev_asn, next_asn, slot), _ROUTERS_PER_AS)
-        return self._topology.iplayer.router_ip(asn, index)
+        key = (asn, prev_asn, next_asn, slot)
+        router = self._routers.get(key)
+        if router is None:
+            index = _stable_index(key, _ROUTERS_PER_AS)
+            router = self._routers[key] = self._topology.iplayer.router_ip(asn, index)
+        return router
+
+    def _gateway(self, client_asn: int, client_city: Optional[str], slot: int) -> IPv4Address:
+        """The last-mile gateway a client of ``client_asn`` in a city sits behind.
+
+        Gateways are metro-local: their router index comes from the client
+        city's band, so rDNS hostname analysis can geolocate them.
+        """
+        key = (client_asn, client_city, slot)
+        gateway = self._gateways.get(key)
+        if gateway is None:
+            cities = self._topology.cities_of(client_asn) if client_city else []
+            if client_city in cities:
+                base = cities.index(client_city) * ROUTER_CITY_BAND
+                offset = _stable_index(
+                    (client_asn, len(cities), cities.index(client_city), slot),
+                    ROUTER_CITY_BAND,
+                )
+                gateway = self._topology.iplayer.router_ip(client_asn, base + offset)
+            else:
+                gateway = self._router_for(client_asn, client_asn, -1, slot)
+            self._gateways[key] = gateway
+        return gateway
 
     def trace(
         self,
@@ -138,22 +172,10 @@ class ScamperSidecar:
             )
             hop_asns.append(asn)
         # The client AS also shows the last-mile gateway before the client.
-        # Gateways are metro-local: their router index comes from the client
-        # city's band, so rDNS hostname analysis can geolocate them.
         client_asn = path[-1]
         gateway_slot = slot_for(client_asn, client_asn, -1, len(path))
         client_city = self._topology.iplayer.city_of_client_ip(client_ip)
-        cities = self._topology.cities_of(client_asn) if client_city else []
-        if client_city in cities:
-            base = cities.index(client_city) * ROUTER_CITY_BAND
-            offset = _stable_index(
-                (client_asn, len(cities), cities.index(client_city), gateway_slot),
-                ROUTER_CITY_BAND,
-            )
-            gateway = self._topology.iplayer.router_ip(client_asn, base + offset)
-        else:
-            gateway = self._router_for(client_asn, client_asn, -1, gateway_slot)
-        hop_ips.append(gateway)
+        hop_ips.append(self._gateway(client_asn, client_city, gateway_slot))
         hop_asns.append(client_asn)
         hop_ips.append(client_ip)
         hop_asns.append(client_asn)

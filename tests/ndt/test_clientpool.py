@@ -63,6 +63,18 @@ class TestSampling:
         for _ in range(20):
             assert a.sample(21497, "Lviv", ra) == b.sample(21497, "Lviv", rb)
 
+    def test_same_draws_as_weighted_choice(self, topo):
+        """Each draw is the index ``choice(p=...)`` picks, from one ``random()``."""
+        pool = ClientPool(topo.iplayer, pool_size=300, zipf_a=1.2)
+        addresses = pool._pool(15895, "Kyiv")[0]
+        weights = np.arange(1, len(addresses) + 1, dtype=np.float64) ** -1.2
+        probs = weights / weights.sum()
+        ra, rb = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(2000):
+            expected = addresses[int(rb.choice(len(addresses), p=probs))]
+            assert pool.sample(15895, "Kyiv", ra) == expected
+        assert ra.random() == rb.random()
+
     def test_unserved_pair_rejected(self, topo):
         pool = ClientPool(topo.iplayer)
         rng = np.random.default_rng(0)

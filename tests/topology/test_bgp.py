@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.netbase import ASRegistry, ASRole, AutonomousSystem
-from repro.topology import ASGraph, Link, LinkKind, RouteSelector, valley_free_paths
+from repro.topology import (
+    ASGraph,
+    Link,
+    LinkKind,
+    RouteSelector,
+    StickyRouter,
+    valley_free_paths,
+)
 from repro.util.errors import TopologyError
 
 
@@ -193,3 +200,18 @@ class TestRouteSelector:
             for _ in range(5)
         ]
         assert a == b
+
+
+class TestStickyRouter:
+    def test_failover_error_raises_on_every_call(self):
+        """A failover whose quality is invalid is not remembered."""
+        g = make_graph()
+        bad_day = 100
+        selector = RouteSelector(g, lambda link, day: 1.5 if day == bad_day else 1.0)
+        router = StickyRouter(selector, seed=3, epoch_days=1000)
+        sticky = router.route(21, 31, bad_day)  # scored on its epoch start, not bad_day
+        down = frozenset({sticky.links(g)[0].key})
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                router.route(21, 31, bad_day, down)
+        assert router.route(21, 31, bad_day + 1, down) is not None
