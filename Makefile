@@ -84,7 +84,7 @@ lint-fast:
 	PYTHONPATH=$(PYTHONPATH) python -m repro lint --changed-only --jobs 0
 
 # Whole-program flow gate: per-file rules plus the cross-module pass
-# (stage contracts, kernel purity, effects.json).  Exits 5 on any
+# (stage contracts, kernel purity, network seam).  Exits 5 on any
 # above-baseline finding.  Part of the default `make test`.
 flow:
 	PYTHONPATH=$(PYTHONPATH) python -m repro lint --flow

@@ -22,9 +22,6 @@ from repro.lint.report import render_json, render_text
 
 __all__ = ["configure_parser", "cmd_lint"]
 
-#: Where ``--flow`` drops the machine-readable effect certificate.
-DEFAULT_EFFECTS_OUT = "results/effects.json"
-
 
 def configure_parser(sub: argparse._SubParsersAction) -> None:
     """Attach the ``lint`` subparser to the main CLI."""
@@ -48,7 +45,7 @@ def configure_parser(sub: argparse._SubParsersAction) -> None:
         "--flow", action="store_true",
         help=(
             "also run the whole-program flow pass: stage-contract "
-            "verification, kernel purity, effects.json"
+            "verification, kernel purity, network seam"
         ),
     )
     lint.add_argument(
@@ -63,10 +60,10 @@ def configure_parser(sub: argparse._SubParsersAction) -> None:
         help="lint only .py files git reports as modified/staged/untracked",
     )
     lint.add_argument(
-        "--effects-out", default=DEFAULT_EFFECTS_OUT, metavar="PATH",
+        "--effects-out", default=None, metavar="PATH",
         help=(
-            "where --flow writes the schema-validated effects report "
-            "(default: %(default)s)"
+            "with --flow, also write the schema-validated effects report "
+            "(effects.json) to PATH"
         ),
     )
     lint.add_argument(

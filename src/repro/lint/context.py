@@ -5,81 +5,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import Dict, FrozenSet
 
 __all__ = ["FileContext", "LintConfig"]
-
-#: Modules whose import anywhere in ``src/repro`` is a finding, with the
-#: reason shown in the diagnostic.
-DEFAULT_FORBIDDEN_IMPORTS: Mapping[str, str] = {
-    "pandas": "use repro.tables instead of pandas",
-    "requests": "the reproduction must not touch the network",
-    "urllib": "the reproduction must not touch the network",
-    "http": "the reproduction must not touch the network",
-    "socket": "the reproduction must not touch the network",
-    "ftplib": "the reproduction must not touch the network",
-    "smtplib": "the reproduction must not touch the network",
-    "telnetlib": "the reproduction must not touch the network",
-    "xmlrpc": "the reproduction must not touch the network",
-    "aiohttp": "the reproduction must not touch the network",
-    "httpx": "the reproduction must not touch the network",
-}
-
-#: The network modules within :data:`DEFAULT_FORBIDDEN_IMPORTS` — the
-#: subset the sanctioned network seam may import.  pandas stays
-#: forbidden everywhere.
-NETWORK_IMPORTS: FrozenSet[str] = frozenset(
-    {
-        "requests", "urllib", "http", "socket", "ftplib", "smtplib",
-        "telnetlib", "xmlrpc", "aiohttp", "httpx",
-    }
-)
-
-#: Path fragments allowed to import network modules: the live health
-#: service (the repo's one sanctioned network seam — see
-#: ``repro.lint.flow.effects.SEAMS``) and the benchmarks that load-test
-#: it.  The flow lint's ``unsanctioned-network`` rule enforces the same
-#: boundary at the call-graph level.
-DEFAULT_NETWORK_ALLOWED: Tuple[str, ...] = ("repro/obs/live/", "benchmarks/")
-
-#: Files (posix-path suffixes) where direct RNG construction is the point.
-DEFAULT_RNG_ALLOWED: Tuple[str, ...] = ("repro/util/rng.py",)
-
-#: Path fragments where reading wall/monotonic clocks directly is the point:
-#: the obs clock shim wraps them once, and benchmarks time real work.
-DEFAULT_TIMING_ALLOWED: Tuple[str, ...] = ("repro/obs/", "benchmarks/")
-
-#: Path fragments where the raw profiling machinery (``tracemalloc``,
-#: ``sys._current_frames``) is the implementation: the profiler package
-#: itself, and benchmarks measuring its overhead.  Everyone else profiles
-#: through ``--profile`` / ``repro.obs.profile``.
-DEFAULT_PROFILING_ALLOWED: Tuple[str, ...] = (
-    "repro/obs/profile/", "benchmarks/",
-)
-
-#: The one file allowed to name ``BENCH_*.json`` artifacts in code: the
-#: sanctioned snapshot/history writer.  Everyone else goes through it, so
-#: ad-hoc baseline files cannot reappear outside the registry.
-DEFAULT_BENCH_WRITER_FILES: Tuple[str, ...] = ("repro/obs/bench.py",)
-
-#: Files whose table column names are synthetic by design (the bench micro
-#: suite builds throwaway tables), so the schema-columns cross-reference
-#: against the NDT/trace schema does not apply.
-DEFAULT_SCHEMA_EXEMPT_FILES: Tuple[str, ...] = ("repro/obs/bench.py",)
-
-#: Where unprotected file writes are the implementation, not a violation:
-#: the storage layer itself is the one place allowed to call bare
-#: ``open(..., "w")`` — everyone else commits through it.
-DEFAULT_STORAGE_WRITER_FILES: Tuple[str, ...] = ("repro/storage/",)
-
-#: Subpackages where raising builtin ``ValueError``/``TypeError``/``KeyError``
-#: is a finding even though the repo-wide convention allows them for argument
-#: validation: these packages have dedicated typed errors (``AnalysisError``,
-#: ``PipelineError``) that run reports and exit codes depend on.
-DEFAULT_TYPED_ERROR_STRICT: Tuple[str, ...] = (
-    "repro/analysis/",
-    "repro/runtime/",
-)
 
 
 def _default_known_columns() -> FrozenSet[str]:
@@ -96,21 +24,14 @@ def _default_aggregators() -> FrozenSet[str]:
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Knobs shared by every rule in one lint run."""
+    """Knobs shared by every rule in one lint run.
+
+    Which files may do what directly is not a knob: it is the seam table
+    in :mod:`repro.lint.seams`, which the flow pass reads as well.
+    """
 
     known_columns: FrozenSet[str] = field(default_factory=_default_known_columns)
     aggregators: FrozenSet[str] = field(default_factory=_default_aggregators)
-    forbidden_imports: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_FORBIDDEN_IMPORTS)
-    )
-    network_allowed_packages: Tuple[str, ...] = DEFAULT_NETWORK_ALLOWED
-    rng_allowed_files: Tuple[str, ...] = DEFAULT_RNG_ALLOWED
-    typed_error_strict_packages: Tuple[str, ...] = DEFAULT_TYPED_ERROR_STRICT
-    timing_allowed_packages: Tuple[str, ...] = DEFAULT_TIMING_ALLOWED
-    profiling_allowed_packages: Tuple[str, ...] = DEFAULT_PROFILING_ALLOWED
-    bench_writer_files: Tuple[str, ...] = DEFAULT_BENCH_WRITER_FILES
-    schema_exempt_files: Tuple[str, ...] = DEFAULT_SCHEMA_EXEMPT_FILES
-    storage_writer_files: Tuple[str, ...] = DEFAULT_STORAGE_WRITER_FILES
 
 
 class FileContext:

@@ -12,9 +12,9 @@ the result:
   into ``provenance.json`` edges, so a drifted declaration is silently
   wrong provenance;
 * functions reachable from ``tables/kernels.py`` and ``stats/`` must be
-  effect-free except via the sanctioned seams (``util/rng.py``, the
-  ``obs/`` clock shim, ``storage/``) — the purity certificate a future
-  deterministic parallel scheduler consumes.
+  effect-free except via the sanctioned seams of
+  :mod:`repro.lint.seams` (``util/rng.py``, the ``obs/`` clock shim,
+  ``storage/``), so a kernel's result depends on its inputs alone.
 
 Pipeline: :func:`summarize_source` distils one file into a cacheable
 :class:`ModuleSummary`; :class:`Project` links summaries into a symbol
@@ -33,7 +33,6 @@ from repro.lint.flow.callgraph import Project
 from repro.lint.flow.contracts import check_contracts
 from repro.lint.flow.effects import (
     EFFECTS,
-    SEAMS,
     EffectAnalysis,
     check_kernel_purity,
     infer_effects,
@@ -43,7 +42,6 @@ from repro.lint.flow.summarize import FunctionInfo, ModuleSummary, summarize_sou
 
 __all__ = [
     "EFFECTS",
-    "SEAMS",
     "EffectAnalysis",
     "FlowResult",
     "FunctionInfo",

@@ -11,8 +11,9 @@ hypothesis property test in ``tests/lint/flow`` pins down; it is also why
 the fixpoint terminates — each iteration only adds elements of a finite
 set.
 
-Sanctioned seams are modules whose *job* is the effect: ``util/rng.py``
-(seeded randomness), ``repro/obs/`` (the clock shim and metrics),
+Sanctioned seams are modules whose *job* is the effect — the rows of the
+seam table in :mod:`repro.lint.seams`: ``util/rng.py`` (seeded
+randomness), ``repro/obs/`` (the clock shim and metrics),
 ``repro/storage/`` (atomic artifact writes).  A call into a seam does not
 propagate the seam's raw effects to the caller; it records the seam's
 name in the caller's ``sanctioned`` set instead, so ``effects.json``
@@ -30,10 +31,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.flow.callgraph import Project
 from repro.lint.flow.summarize import DirectEffect
+from repro.lint.seams import seam_allows, seam_of
 
 __all__ = [
     "EFFECTS",
-    "SEAMS",
     "EffectAnalysis",
     "check_kernel_purity",
     "check_network_seam",
@@ -49,23 +50,6 @@ EFFECTS: Tuple[str, ...] = (
     "network",
 )
 
-#: Sanctioned seam name → path fragments owning that seam.
-#: ``obs.profile`` must precede ``obs``: :func:`seam_of` matches in
-#: insertion order and ``repro/obs/`` would otherwise shadow the
-#: profiler's more specific fragment.  The profiler is its own seam so
-#: ``effects.json`` distinguishes "leans on the clock shim" from "leans
-#: on the sampler/tracemalloc machinery" — both recorded, not propagated.
-SEAMS: Dict[str, Tuple[str, ...]] = {
-    "util.rng": ("repro/util/rng.py",),
-    "obs.profile": ("repro/obs/profile/",),
-    "obs.live": ("repro/obs/live/",),
-    "obs": ("repro/obs/",),
-    "storage": ("repro/storage/",),
-}
-
-#: The only seam sanctioned to touch sockets/HTTP (the health service).
-NETWORK_SEAM = "obs.live"
-
 #: Path fragments whose functions the purity gate covers (roots).
 DEFAULT_KERNEL_PACKAGES: Tuple[str, ...] = (
     "repro/tables/kernels.py",
@@ -78,14 +62,6 @@ DEFAULT_KERNEL_PACKAGES: Tuple[str, ...] = (
     "repro/tables/plan/optimizer.py",
     "repro/tables/plan/executor.py",
 )
-
-
-def seam_of(relpath: str) -> Optional[str]:
-    """The seam a file belongs to, if any."""
-    for seam, fragments in SEAMS.items():
-        if any(fragment in relpath for fragment in fragments):
-            return seam
-    return None
 
 
 @dataclass
@@ -103,10 +79,6 @@ class EffectAnalysis:
 
     def sanctioned_of(self, qualname: str) -> FrozenSet[str]:
         return self.sanctioned.get(qualname, frozenset())
-
-    def is_parallel_safe(self, qualname: str) -> bool:
-        """No raw effects at all — the scheduler's fan-out certificate."""
-        return not self.effects.get(qualname)
 
     def witness_path(
         self, root: str, effect: str
@@ -156,7 +128,7 @@ def infer_effects(project: Project) -> EffectAnalysis:
     effects: Dict[str, FrozenSet[str]] = dict(direct)
     sanctioned: Dict[str, FrozenSet[str]] = {q: frozenset() for q in direct}
 
-    # Round-robin to fixpoint.  The lattice height is |EFFECTS| + |SEAMS|
+    # Round-robin to fixpoint.  The lattice height is |EFFECTS| + |seams|
     # per function, so this terminates quickly; deterministic because the
     # iteration order is sorted and join is commutative anyway.
     order = sorted(project.functions)
@@ -205,8 +177,7 @@ def check_kernel_purity(
 
     One diagnostic per kernel-package *root* function that carries raw
     effects, anchored at the root's ``def`` line and carrying a witness
-    call chain to the nearest direct effect — this is the certificate the
-    deterministic parallel scheduler will gate fan-out on.
+    call chain to the nearest direct effect.
     """
     assert analysis.project is not None
     findings: List[Diagnostic] = []
@@ -243,19 +214,20 @@ def check_kernel_purity(
 def check_network_seam(analysis: EffectAnalysis) -> List[Diagnostic]:
     """``unsanctioned-network``: socket/HTTP use outside ``repro/obs/live/``.
 
-    The health service (:data:`NETWORK_SEAM`) is the repo's one sanctioned
-    network seam; everything else in ``src/`` is an offline pipeline over
-    a synthetic dataset, so a *direct* network effect anywhere else is a
-    finding.  Direct effects only — a caller that reaches the network
-    through the seam records ``obs.live`` in its sanctioned set instead,
-    and flagging every transitive caller of one offender would bury the
-    actual call site.  Anchored at the offending call, not the ``def``.
+    The health service (``obs.live``, the one seam whose row allows
+    ``network``) is the repo's one sanctioned network seam; everything
+    else in ``src/`` is an offline pipeline over a synthetic dataset, so a
+    *direct* network effect anywhere else is a finding.  Direct effects
+    only — a caller that reaches the network through the seam records
+    ``obs.live`` in its sanctioned set instead, and flagging every
+    transitive caller of one offender would bury the actual call site.
+    Anchored at the offending call, not the ``def``.
     """
     assert analysis.project is not None
     findings: List[Diagnostic] = []
     for qual in sorted(analysis.project.functions):
         info = analysis.project.functions[qual]
-        if seam_of(info.relpath) == NETWORK_SEAM:
+        if seam_allows(seam_of(info.relpath), "network"):
             continue
         for direct in info.direct_effects:
             if direct.effect != "network":

@@ -2,10 +2,10 @@
 
 ``effects.json`` is to the flow pass what ``provenance.json`` is to
 lineage: a schema-validated artifact (``docs/effects.schema.json``)
-downstream tooling can gate on.  The planned deterministic parallel
-scheduler reads ``parallel_safe`` to decide what may fan out; ``repro
-lint effects <function>`` renders the same data for humans, with witness
-call chains explaining where each effect comes from.
+downstream tooling can gate on, written only when ``repro lint --flow
+--effects-out PATH`` asks for it.  ``repro lint effects <function>``
+renders the same data for humans, with witness call chains explaining
+where each effect comes from.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro import storage
-from repro.lint.flow.effects import EFFECTS, EffectAnalysis, seam_of
+from repro.lint.flow.effects import EFFECTS, EffectAnalysis
+from repro.lint.seams import seam_of
 from repro.util.errors import LintError
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
     "write_effects_report",
 ]
 
-EFFECTS_SCHEMA_VERSION = 1
+EFFECTS_SCHEMA_VERSION = 2
 
 
 def default_schema_path() -> Path:
@@ -48,18 +49,17 @@ def build_effects_report(
     project = analysis.project
     functions: List[Dict[str, Any]] = []
     n_pure = 0
-    n_parallel_safe = 0
+    n_with_effects = 0
     for qual in sorted(project.functions):
         info = project.functions[qual]
         raw = sorted(
             analysis.effects_of(qual), key=EFFECTS.index
         )
         seams = sorted(analysis.sanctioned_of(qual))
-        parallel_safe = not raw
-        if not raw and not seams:
+        if raw:
+            n_with_effects += 1
+        elif not seams:
             n_pure += 1
-        if parallel_safe:
-            n_parallel_safe += 1
         functions.append(
             {
                 "qualname": qual,
@@ -67,7 +67,6 @@ def build_effects_report(
                 "line": info.line,
                 "effects": raw,
                 "sanctioned": seams,
-                "parallel_safe": parallel_safe,
                 "seam": seam_of(info.relpath),
                 "n_callees": len(project.callees_of(qual)),
                 "n_callers": len(project.callers_of(qual)),
@@ -79,8 +78,7 @@ def build_effects_report(
         "summary": {
             "functions": len(functions),
             "pure": n_pure,
-            "parallel_safe": n_parallel_safe,
-            "with_effects": len(functions) - n_parallel_safe,
+            "with_effects": n_with_effects,
             "stage_sites": len(project.stage_sites()),
             "contract_findings": contract_findings,
         },
@@ -132,10 +130,6 @@ def render_effects_explain(analysis: EffectAnalysis, needle: str) -> str:
         )
         lines.append(
             "  sanctioned: " + (", ".join(seams) if seams else "(none)")
-        )
-        lines.append(
-            f"  parallel-safe: "
-            f"{'yes' if analysis.is_parallel_safe(qual) else 'NO'}"
         )
         for effect in raw:
             chain = analysis.witness_path(qual, effect)

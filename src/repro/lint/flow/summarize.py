@@ -12,7 +12,8 @@ What gets recorded per function (including nested functions and methods):
   ``dynamic`` when the callee is a runtime value;
 * its *direct* effects (clock reads, rng, filesystem writes, mutation of
   module-level or closed-over state, network), found by pattern-matching
-  call sites and assignment targets against the effect tables below;
+  call sites and assignment targets against the shared vocabulary in
+  :mod:`repro.lint.seams` and the tables below;
 * the string keys it reads out of each parameter via ``param["key"]`` /
   ``param.get("key", ...)`` — the raw material of the stage-contract check.
 
@@ -27,6 +28,16 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.lint.seams import (
+    CLOCK_READS,
+    NETWORK_MODULES,
+    SEEDED_CONSTRUCTORS,
+    WRITE_METHODS,
+    WRITE_MODE_CHARS,
+    dotted_name,
+    mode_literal,
+)
+
 __all__ = [
     "CallRef",
     "DirectEffect",
@@ -37,30 +48,8 @@ __all__ = [
     "summarize_source",
 ]
 
-SUMMARY_VERSION = 1
-
-#: ``time`` attributes that read a clock (mirrors the no-bare-timing rule).
-_CLOCK_READS = frozenset(
-    {
-        "time", "perf_counter", "monotonic", "process_time",
-        "time_ns", "perf_counter_ns", "monotonic_ns", "process_time_ns",
-    }
-)
-
-#: Absolute dotted call prefixes → direct effect.
-_EFFECT_PREFIXES: Tuple[Tuple[str, str], ...] = (
-    ("random.", "rng"),
-    ("socket.", "network"),
-    ("urllib.", "network"),
-    ("http.", "network"),
-    ("requests.", "network"),
-    ("ftplib.", "network"),
-    ("smtplib.", "network"),
-)
-
-#: np.random attributes that construct explicitly *seeded* generators — the
-#: one sanctioned shape outside util/rng.py (mirrors the unseeded-random rule).
-_SEEDED_CONSTRUCTORS = frozenset({"Generator", "PCG64", "SeedSequence"})
+#: Bump whenever effect detection changes, so cached summaries are redone.
+SUMMARY_VERSION = 2
 
 #: os/shutil calls that mutate the filesystem.
 _FS_WRITE_CALLS = frozenset(
@@ -77,9 +66,6 @@ _CLOCK_CALLS = frozenset(
     {"datetime.datetime.now", "datetime.datetime.utcnow", "datetime.date.today"}
 )
 
-#: pathlib spellings of an unprotected write (mirrors unsafe-artifact-write).
-_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
-
 #: Method names that mutate their receiver in place.
 _MUTATING_METHODS = frozenset(
     {
@@ -87,9 +73,6 @@ _MUTATING_METHODS = frozenset(
         "add", "discard", "update", "setdefault", "sort", "reverse",
     }
 )
-
-#: Mode characters that make an ``open`` call a write.
-_WRITE_MODE_CHARS = frozenset("wax+")
 
 #: The class whose construction sites carry stage contracts.
 _STAGE_CLASS = "repro.runtime.pipeline.Stage"
@@ -288,30 +271,6 @@ class ModuleSummary:
             stage_sites=tuple(StageSite.from_json(s) for s in d["stage_sites"]),
             module_level_names=tuple(d["module_level_names"]),
         )
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _mode_literal(node: ast.Call) -> Optional[str]:
-    mode_node: Optional[ast.expr] = None
-    if len(node.args) >= 2:
-        mode_node = node.args[1]
-    for kw in node.keywords:
-        if kw.arg == "mode":
-            mode_node = kw.value
-    if isinstance(mode_node, ast.Constant) and isinstance(mode_node.value, str):
-        return mode_node.value
-    return None
 
 
 def _stored_names(fn_node: ast.AST) -> Set[str]:
@@ -637,7 +596,7 @@ class _Summarizer(ast.NodeVisitor):
             via, base = "attribute", base.value
         if via is None:
             return
-        dotted = _dotted_name(base)
+        dotted = dotted_name(base)
         if dotted is None:
             return
         head = dotted.split(".")[0]
@@ -683,7 +642,7 @@ class _Summarizer(ast.NodeVisitor):
         self._maybe_stage_site(node)
         self._record_get_read(node)
         fn = self._current_fn()
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if fn is not None:
             if dotted is not None:
                 kind, target = self._resolve(dotted)
@@ -719,8 +678,8 @@ class _Summarizer(ast.NodeVisitor):
         assert fn is not None
         line = node.lineno
         if dotted == "open" and kind == "dynamic":
-            mode = _mode_literal(node)
-            if mode is not None and (_WRITE_MODE_CHARS & set(mode)):
+            mode = mode_literal(node)
+            if mode is not None and (WRITE_MODE_CHARS & set(mode)):
                 fn["effects"].append(
                     DirectEffect("filesystem-write", line,
                                  f"open(..., {mode!r})")
@@ -736,7 +695,7 @@ class _Summarizer(ast.NodeVisitor):
             fn["effects"].append(
                 DirectEffect("reads-clock", line, f"call to {resolved}")
             )
-        elif parts[0] == "time" and len(parts) == 2 and parts[1] in _CLOCK_READS:
+        elif parts[0] == "time" and len(parts) == 2 and parts[1] in CLOCK_READS:
             fn["effects"].append(
                 DirectEffect("reads-clock", line, f"call to {resolved}")
             )
@@ -744,16 +703,15 @@ class _Summarizer(ast.NodeVisitor):
             len(parts) >= 3
             and parts[0] in ("numpy", "np")
             and parts[1] == "random"
-            and parts[2] not in _SEEDED_CONSTRUCTORS
+            and parts[2] not in SEEDED_CONSTRUCTORS
         ):
             fn["effects"].append(DirectEffect("rng", line, f"call to {resolved}"))
-        else:
-            for prefix, effect in _EFFECT_PREFIXES:
-                if resolved.startswith(prefix):
-                    fn["effects"].append(
-                        DirectEffect(effect, line, f"call to {resolved}")
-                    )
-                    break
+        elif len(parts) >= 2 and parts[0] == "random":
+            fn["effects"].append(DirectEffect("rng", line, f"call to {resolved}"))
+        elif len(parts) >= 2 and parts[0] in NETWORK_MODULES:
+            fn["effects"].append(
+                DirectEffect("network", line, f"call to {resolved}")
+            )
 
     def _detect_method_effects(self, node: ast.Call) -> None:
         """Receiver-based effects: pathlib writes, shared-state mutators."""
@@ -762,7 +720,7 @@ class _Summarizer(ast.NodeVisitor):
             return
         attr = node.func.attr
         line = node.lineno
-        if attr in _WRITE_METHODS:
+        if attr in WRITE_METHODS:
             fn["effects"].append(
                 DirectEffect("filesystem-write", line, f".{attr}(...) write")
             )
@@ -784,7 +742,7 @@ class _Summarizer(ast.NodeVisitor):
 
     # -- Stage(...) construction sites ----------------------------------------
     def _maybe_stage_site(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return
         kind, target = self._resolve(dotted)
@@ -809,7 +767,7 @@ class _Summarizer(ast.NodeVisitor):
             if isinstance(v, ast.Constant) and isinstance(v.value, str):
                 name = v.value
         if "fn" in slots:
-            fdotted = _dotted_name(slots["fn"])
+            fdotted = dotted_name(slots["fn"])
             if fdotted is not None:
                 fkind, ftarget = self._resolve(fdotted)
                 if fkind == "project":

@@ -30,7 +30,6 @@ def render_text(run: LintRun, verbose: bool = False) -> str:
         fs = run.flow_summary
         lines.append(
             f"flow: {fs.get('functions', 0)} functions analyzed, "
-            f"{fs.get('parallel_safe', 0)} parallel-safe, "
             f"{fs.get('stage_sites', 0)} stage sites, "
             f"{fs.get('contract_findings', 0)} flow finding"
             f"{'s' if fs.get('contract_findings', 0) != 1 else ''}"

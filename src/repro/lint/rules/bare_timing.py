@@ -42,22 +42,14 @@ from typing import Iterable, Iterator, Set
 from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import Rule, register
+from repro.lint.seams import CLOCK_READS, allowed
 
 __all__ = ["BareTimingRule"]
 
-#: time-module attributes that read a clock.
-_CLOCK_READS = frozenset(
-    {
-        "time",
-        "perf_counter",
-        "monotonic",
-        "process_time",
-        "time_ns",
-        "perf_counter_ns",
-        "monotonic_ns",
-        "process_time_ns",
-    }
-)
+#: The one file allowed to name ``BENCH_*.json`` artifacts in code: the
+#: sanctioned snapshot/history writer.  Everyone else goes through it, so
+#: ad-hoc baseline files cannot reappear outside the registry.
+_BENCH_WRITER_FILES = ("repro/obs/bench.py",)
 
 #: A string literal that names a benchmark artifact file.
 _BENCH_ARTIFACT = re.compile(r"BENCH_\w+\.jsonl?$")
@@ -94,11 +86,9 @@ class BareTimingRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        timing_exempt = ctx.in_package(*ctx.config.timing_allowed_packages)
-        profiling_exempt = ctx.in_package(
-            *ctx.config.profiling_allowed_packages
-        )
-        bench_exempt = ctx.matches(*ctx.config.bench_writer_files)
+        timing_exempt = allowed(ctx.relpath, "reads-clock")
+        profiling_exempt = allowed(ctx.relpath, "profiling")
+        bench_exempt = ctx.matches(*_BENCH_WRITER_FILES)
         docstrings = (
             _docstring_nodes(ctx.tree) if not bench_exempt else set()
         )
@@ -119,7 +109,7 @@ class BareTimingRule(Rule):
         if node.module != "time":
             return
         for alias in node.names:
-            if alias.name in _CLOCK_READS:
+            if alias.name in CLOCK_READS:
                 yield self.diag(
                     ctx,
                     node,
@@ -133,7 +123,7 @@ class BareTimingRule(Rule):
         if (
             isinstance(node.value, ast.Name)
             and node.value.id == "time"
-            and node.attr in _CLOCK_READS
+            and node.attr in CLOCK_READS
         ):
             yield self.diag(
                 ctx,

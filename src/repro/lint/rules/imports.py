@@ -3,10 +3,10 @@
 The reproduction is a closed system: its own columnar engine instead of
 pandas, and a synthetic substrate instead of live M-Lab queries.  An import
 of pandas or any network module is always a mistake here (and would break
-the no-new-dependency CI environment).  One carve-out: the live health
-service (``repro/obs/live/``) is the sanctioned network seam, so the
-stdlib network modules — and only those — are allowed there and in the
-benchmarks that load-test it.
+the no-new-dependency CI environment).  One carve-out: where the seam
+table (:mod:`repro.lint.seams`) allows ``network`` — the live health
+service and the benchmarks that load-test it — the network modules, and
+only those, may be imported.
 """
 
 from __future__ import annotations
@@ -14,11 +14,21 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.context import NETWORK_IMPORTS, FileContext
+from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import Rule, register
+from repro.lint.seams import NETWORK_MODULES, allowed
 
 __all__ = ["ForbiddenImportRule"]
+
+#: Top-level module → why importing it anywhere is a finding.
+_FORBIDDEN_IMPORTS = {
+    "pandas": "use repro.tables instead of pandas",
+    **{
+        name: "the reproduction must not touch the network"
+        for name in NETWORK_MODULES
+    },
+}
 
 
 @register
@@ -28,31 +38,30 @@ class ForbiddenImportRule(Rule):
     description = "imports of pandas / network modules are not allowed"
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        forbidden = ctx.config.forbidden_imports
-        in_network_seam = ctx.in_package(
-            *ctx.config.network_allowed_packages
-        )
+        in_network_seam = allowed(ctx.relpath, "network")
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     top = alias.name.split(".")[0]
-                    if top in forbidden and not (
-                        in_network_seam and top in NETWORK_IMPORTS
+                    if top in _FORBIDDEN_IMPORTS and not (
+                        in_network_seam and top in NETWORK_MODULES
                     ):
                         yield self.diag(
                             ctx,
                             node,
-                            f"forbidden import {alias.name!r}: {forbidden[top]}",
+                            f"forbidden import {alias.name!r}: "
+                            f"{_FORBIDDEN_IMPORTS[top]}",
                         )
             elif isinstance(node, ast.ImportFrom) and node.module:
                 top = node.module.split(".")[0]
                 if (
                     node.level == 0
-                    and top in forbidden
-                    and not (in_network_seam and top in NETWORK_IMPORTS)
+                    and top in _FORBIDDEN_IMPORTS
+                    and not (in_network_seam and top in NETWORK_MODULES)
                 ):
                     yield self.diag(
                         ctx,
                         node,
-                        f"forbidden import {node.module!r}: {forbidden[top]}",
+                        f"forbidden import {node.module!r}: "
+                        f"{_FORBIDDEN_IMPORTS[top]}",
                     )

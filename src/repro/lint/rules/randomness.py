@@ -17,28 +17,14 @@ untouched: annotations and ``rng.uniform(...)`` calls never match.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import Rule, register
+from repro.lint.seams import SEEDED_CONSTRUCTORS, allowed, dotted_name
 
 __all__ = ["UnseededRandomRule"]
-
-#: np.random attributes that *construct* explicitly seeded generators.
-_SEEDED_CONSTRUCTORS = frozenset({"Generator", "PCG64", "SeedSequence"})
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 @register
@@ -51,7 +37,7 @@ class UnseededRandomRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        if ctx.matches(*ctx.config.rng_allowed_files):
+        if allowed(ctx.relpath, "rng"):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
@@ -84,7 +70,7 @@ class UnseededRandomRule(Rule):
             )
 
     def _check_call(self, ctx: FileContext, node: ast.Call) -> Iterator[Diagnostic]:
-        name = _dotted_name(node.func)
+        name = dotted_name(node.func)
         if name is None:
             return
         parts = name.split(".")
@@ -99,7 +85,7 @@ class UnseededRandomRule(Rule):
             len(parts) >= 3
             and parts[0] in ("np", "numpy")
             and parts[1] == "random"
-            and parts[2] not in _SEEDED_CONSTRUCTORS
+            and parts[2] not in SEEDED_CONSTRUCTORS
         ):
             yield self.diag(
                 ctx,

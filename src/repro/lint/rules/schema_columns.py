@@ -14,8 +14,8 @@ String subscripts (``row["min_rtt_ms"]``) also index plain dicts, so they get
 a *near-miss* check only: flagged when the literal is a whitespace/case
 variant of a declared column but not exactly one.
 
-Files listed in ``LintConfig.schema_exempt_files`` (the bench micro suite,
-whose tables are synthetic by design) are skipped entirely.
+Files listed in :data:`_EXEMPT_FILES` (the bench micro suite, whose tables
+are synthetic by design) are skipped entirely.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ _WRITE_METHODS = ("with_column", "rename")
 #: ``Comparison``/``IsIn``/``IsNull`` — e.g. deep in a lazy chain — must be
 #: caught the same way.
 _EXPR_LEAVES = ("Comparison", "IsIn", "IsNull")
+#: Files whose table column names are synthetic by design (the bench micro
+#: suite builds throwaway tables), so the cross-reference does not apply.
+_EXEMPT_FILES = ("repro/obs/bench.py",)
 
 
 def _string_args(node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
@@ -68,7 +71,7 @@ class SchemaColumnsRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
         known = ctx.config.known_columns
-        if not known or ctx.matches(*ctx.config.schema_exempt_files):
+        if not known or ctx.matches(*_EXEMPT_FILES):
             return
         normalized = {_normalize(k): k for k in known}
         for node in ast.walk(ctx.tree):

@@ -43,6 +43,11 @@ _ALWAYS_FLAGGED = frozenset(
 #: Additionally flagged inside the strict packages.
 _STRICT_FLAGGED = frozenset({"ValueError", "TypeError", "IndexError"})
 
+#: Subpackages where the :data:`_STRICT_FLAGGED` raises are findings too:
+#: they have dedicated typed errors (``AnalysisError``, ``PipelineError``)
+#: that run reports and exit codes depend on.
+_STRICT_PACKAGES = ("repro/analysis/", "repro/runtime/")
+
 
 def _raised_name(node: ast.Raise) -> Optional[str]:
     exc = node.exc
@@ -63,7 +68,7 @@ class TypedErrorsRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        strict = ctx.in_package(*ctx.config.typed_error_strict_packages)
+        strict = ctx.in_package(*_STRICT_PACKAGES)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.diag(

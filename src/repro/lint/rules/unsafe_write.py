@@ -22,32 +22,19 @@ exempt call sites (e.g. a chaos shim that *is* the write path) carry a
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import Rule, register
+from repro.lint.seams import (
+    WRITE_METHODS,
+    WRITE_MODE_CHARS,
+    allowed,
+    mode_literal,
+)
 
 __all__ = ["UnsafeArtifactWriteRule"]
-
-#: Mode characters that make an ``open`` call a write.
-_WRITE_MODE_CHARS = frozenset("wax+")
-
-#: pathlib spellings of an unprotected write.
-_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
-
-
-def _mode_literal(node: ast.Call) -> Optional[str]:
-    """The mode string of an ``open(...)`` call, when given as a literal."""
-    mode_node: Optional[ast.expr] = None
-    if len(node.args) >= 2:
-        mode_node = node.args[1]
-    for kw in node.keywords:
-        if kw.arg == "mode":
-            mode_node = kw.value
-    if isinstance(mode_node, ast.Constant) and isinstance(mode_node.value, str):
-        return mode_node.value
-    return None
 
 
 @register
@@ -61,7 +48,7 @@ class UnsafeArtifactWriteRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        if ctx.in_package(*ctx.config.storage_writer_files):
+        if allowed(ctx.relpath, "filesystem-write"):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
@@ -71,8 +58,8 @@ class UnsafeArtifactWriteRule(Rule):
     def _check_open(self, ctx: FileContext, node: ast.Call) -> Iterator[Diagnostic]:
         if not (isinstance(node.func, ast.Name) and node.func.id == "open"):
             return
-        mode = _mode_literal(node)
-        if mode is None or not (_WRITE_MODE_CHARS & set(mode)):
+        mode = mode_literal(node)
+        if mode is None or not (WRITE_MODE_CHARS & set(mode)):
             return
         yield self.diag(
             ctx,
@@ -87,7 +74,7 @@ class UnsafeArtifactWriteRule(Rule):
     ) -> Iterator[Diagnostic]:
         if not (
             isinstance(node.func, ast.Attribute)
-            and node.func.attr in _WRITE_METHODS
+            and node.func.attr in WRITE_METHODS
         ):
             return
         yield self.diag(

@@ -36,6 +36,7 @@ below it — it is importable from anywhere in the tree without cycles.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.obs import clock as _clockmod
@@ -53,7 +54,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     diff_snapshots,
-    merge_snapshots,
 )
 from repro.obs.trace import NULL_SPAN, Span, SpanRecord, Tracer
 
@@ -98,10 +98,16 @@ class _State:
 
 _state = _State()
 
+#: Serializes span-fed histogram updates: the health service observes its
+#: request timings from many handler threads, and an exact-sum update is
+#: not atomic.  Taken only while metrics are on.
+_metric_lock = threading.Lock()
+
 
 def _observe_metric(name: str, duration_ms: float) -> None:
     if _state.metrics_on and _state.registry is not None:
-        _state.registry.histogram(name).observe(duration_ms)
+        with _metric_lock:
+            _state.registry.histogram(name).observe(duration_ms)
 
 
 def _observe_leak(_span_name: str) -> None:

@@ -43,8 +43,6 @@ from repro.obs.live.daemon import LiveDaemon, SimulatedClock
 from repro.obs.live.service import HealthService
 from repro.obs.live.source import Batch, ReplaySource
 from repro.obs.live.window import (
-    ExactSum,
-    MergeableHistogram,
     MomentState,
     ScopeKey,
     SlidingWindowAggregator,
@@ -56,10 +54,8 @@ __all__ = [
     "AlertEngine",
     "Batch",
     "DetectorConfig",
-    "ExactSum",
     "HealthService",
     "LiveDaemon",
-    "MergeableHistogram",
     "MetricRule",
     "MomentState",
     "ReplaySource",

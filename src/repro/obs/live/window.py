@@ -9,34 +9,33 @@ group-by over the same rows, no matter how the stream was chunked.
 Plain floating-point accumulation cannot deliver that: ``(a+b)+c`` and
 ``a+(b+c)`` differ in the low bits, so a classic Welford merge is only
 associative up to rounding.  Instead every sum here is carried as a
-**Shewchuk expansion** (:class:`ExactSum`) — a short list of
-non-overlapping floats whose mathematical sum is *exactly* the running
-total.  Adding a value or merging two expansions preserves exactness,
-and rendering goes through ``math.fsum`` (correctly rounded), so the
-rendered total is a function of the exact mathematical sum alone — the
-order and grouping of updates cannot leak into a single bit.
+**Shewchuk expansion** (:class:`repro.obs.metrics.ExactSum`) — a short
+list of non-overlapping floats whose mathematical sum is *exactly* the
+running total.  Adding a value or merging two expansions preserves
+exactness, and rendering goes through ``math.fsum`` (correctly rounded),
+so the rendered total is a function of the exact mathematical sum alone
+— the order and grouping of updates cannot leak into a single bit.
 
 Second moments come from the same machinery: :class:`MomentState` keeps
 exact Σx and Σx² (each ``x*x`` is one IEEE multiplication, identical on
 every path) and derives mean/variance through one shared formula,
 matching :func:`repro.tables.kernels.group_moments_exact` bit-for-bit.
+The per-day histograms are :class:`repro.obs.metrics.Histogram`, whose
+sum is the same expansion and whose merge is exact bucket-wise addition.
 The hypothesis suite in ``tests/obs/live/`` pins all of this down.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.util.errors import ReproError
+from repro.obs.metrics import ExactSum, Histogram
 from repro.util.timeutil import Day
 
 __all__ = [
-    "ExactSum",
     "LOSS_BUCKETS",
-    "MergeableHistogram",
     "MomentState",
     "RTT_BUCKETS",
     "ScopeKey",
@@ -62,61 +61,6 @@ LOSS_BUCKETS: Tuple[float, ...] = (
 #: Floor for the log transform: NDT throughput/RTT are positive but a
 #: synthetic zero must not produce ``-inf`` moments.
 LOG_FLOOR = 1e-6
-
-
-class ExactSum:
-    """An exactly-represented running sum of IEEE-754 doubles.
-
-    The value is carried as a list of non-overlapping *partials* whose
-    mathematical sum equals the true sum of everything added — Shewchuk's
-    grow-expansion, the same idea behind ``math.fsum``.  Because the
-    representation is exact, :meth:`add` and :meth:`merge` are associative
-    and commutative in the strongest sense: any order of any grouping of
-    the same values renders (:meth:`value`) to the identical double.
-    """
-
-    __slots__ = ("partials",)
-
-    def __init__(self, partials: Optional[Iterable[float]] = None):
-        self.partials: List[float] = list(partials) if partials else []
-
-    def add(self, x: float) -> None:
-        """Fold one finite double into the expansion (exact, no rounding)."""
-        partials = self.partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-
-    def merge(self, other: "ExactSum") -> None:
-        """Fold another expansion in; exactness is preserved."""
-        for p in other.partials:
-            self.add(p)
-
-    def value(self) -> float:
-        """The correctly-rounded double nearest the exact sum."""
-        return math.fsum(self.partials)
-
-    def copy(self) -> "ExactSum":
-        return ExactSum(self.partials)
-
-    def to_state(self) -> List[float]:
-        """JSON-ready checkpoint form (floats round-trip via repr)."""
-        return list(self.partials)
-
-    @classmethod
-    def from_state(cls, state: Sequence[float]) -> "ExactSum":
-        return cls(float(p) for p in state)
-
-    def __repr__(self) -> str:
-        return f"ExactSum({self.value()!r})"
 
 
 def moments_from_sums(n: int, s1: float, s2: float) -> Tuple[float, float]:
@@ -230,89 +174,6 @@ class MomentState:
         return f"MomentState(n={self.n}, mean={self.mean:.4g})"
 
 
-class MergeableHistogram:
-    """Fixed-bucket histogram whose merge is exact bucket-wise addition.
-
-    Same bucket semantics as :class:`repro.obs.metrics.Histogram`
-    (inclusive upper edges + overflow), but the sum sidecar is an
-    :class:`ExactSum` so merged snapshots stay chunking-invariant.
-    Merging histograms with different bounds is a hard error — silently
-    rebinning would fabricate data.
-    """
-
-    __slots__ = ("bounds", "bucket_counts", "count", "total", "vmin", "vmax")
-
-    def __init__(self, bounds: Iterable[float]):
-        self.bounds: Tuple[float, ...] = tuple(sorted(float(b) for b in bounds))
-        if not self.bounds:
-            raise ValueError("MergeableHistogram needs at least one bound")
-        self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = ExactSum()
-        self.vmin = math.inf
-        self.vmax = -math.inf
-
-    def observe(self, v: float) -> None:
-        v = float(v)
-        if math.isnan(v):
-            return
-        self.bucket_counts[bisect_left(self.bounds, v)] += 1
-        self.count += 1
-        self.total.add(v)
-        if v < self.vmin:
-            self.vmin = v
-        if v > self.vmax:
-            self.vmax = v
-
-    def merge(self, other: "MergeableHistogram") -> None:
-        if self.bounds != other.bounds:
-            raise ReproError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        self.count += other.count
-        self.total.merge(other.total)
-        if other.vmin < self.vmin:
-            self.vmin = other.vmin
-        if other.vmax > self.vmax:
-            self.vmax = other.vmax
-
-    def snapshot(self) -> Dict[str, object]:
-        buckets: Dict[str, int] = {}
-        for bound, n in zip(self.bounds, self.bucket_counts):
-            buckets[f"le_{bound:g}"] = n
-        buckets["overflow"] = self.bucket_counts[-1]
-        return {
-            "count": self.count,
-            "sum": self.total.value(),
-            "min": self.vmin if self.count else None,
-            "max": self.vmax if self.count else None,
-            "buckets": buckets,
-        }
-
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "total": self.total.to_state(),
-            "min": None if self.count == 0 else self.vmin,
-            "max": None if self.count == 0 else self.vmax,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "MergeableHistogram":
-        out = cls(state["bounds"])
-        out.bucket_counts = [int(n) for n in state["bucket_counts"]]
-        out.count = int(state["count"])
-        out.total = ExactSum.from_state(state["total"])
-        out.vmin = math.inf if state["min"] is None else float(state["min"])
-        out.vmax = -math.inf if state["max"] is None else float(state["max"])
-        return out
-
-
 #: (metric column, histogram bounds); the log streams ride on the raw
 #: columns and carry moments only.
 RAW_METRICS: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
@@ -364,8 +225,8 @@ class KeyState:
         self.moments.update(
             {name: MomentState() for name, _ in LOG_METRICS}
         )
-        self.hists: Dict[str, MergeableHistogram] = {
-            name: MergeableHistogram(bounds) for name, bounds in RAW_METRICS
+        self.hists: Dict[str, Histogram] = {
+            name: Histogram(name, bounds) for name, bounds in RAW_METRICS
         }
 
     def update(self, tput: float, rtt: float, loss: float) -> None:
@@ -416,7 +277,7 @@ class KeyState:
         for name, mstate in state["moments"].items():
             out.moments[name] = MomentState.from_state(mstate)
         for name, hstate in state["hists"].items():
-            out.hists[name] = MergeableHistogram.from_state(hstate)
+            out.hists[name] = Histogram.from_state(hstate, name)
         return out
 
 

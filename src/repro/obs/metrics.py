@@ -3,9 +3,14 @@
 The registry is deliberately boring: plain Python objects, no locks, no
 background threads, and a :meth:`MetricsRegistry.snapshot` that is a
 deterministic JSON-ready dict (names sorted, bucket labels derived from
-the bounds).  Determinism is load-bearing — snapshots are diffed between
-runs (``repro obs diff``) and round-tripped through JSON byte-identically
-in tests, so a metric may only hold ints, floats, and strings.
+the bounds).  Callers that observe from several threads serialize
+themselves (the ``obs`` facade does, while metrics are on).
+
+Determinism is load-bearing — snapshots are diffed between runs (``repro
+obs diff``) and round-tripped through JSON byte-identically in tests, so
+a metric may only hold ints, floats, and strings.  Histogram sums are
+exact (:class:`ExactSum`), so the same observations give the same bytes
+however they were grouped.
 
 Naming convention (see ``docs/OBSERVABILITY.md``): dotted lowercase
 ``component.measure[_unit]`` — ``ingest.rows_quarantined``,
@@ -15,18 +20,19 @@ Naming convention (see ``docs/OBSERVABILITY.md``): dotted lowercase
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
     "DEFAULT_MS_BUCKETS",
+    "ExactSum",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRIC",
     "diff_snapshots",
-    "merge_snapshots",
     "percentile_from_snapshot",
 ]
 
@@ -77,13 +83,71 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
+class ExactSum:
+    """An exactly-represented running sum of IEEE-754 doubles.
+
+    The value is carried as a list of non-overlapping *partials* whose
+    mathematical sum equals the true sum of everything added — Shewchuk's
+    grow-expansion, the same idea behind ``math.fsum``.  Because the
+    representation is exact, :meth:`add` and :meth:`merge` are associative
+    and commutative in the strongest sense: any order of any grouping of
+    the same values renders (:meth:`value`) to the identical double.
+    :meth:`add` edits the list in place, so one instance must not be fed
+    from two threads at once.
+    """
+
+    __slots__ = ("partials",)
+
+    def __init__(self, partials: Optional[Iterable[float]] = None):
+        self.partials: List[float] = list(partials) if partials else []
+
+    def add(self, x: float) -> None:
+        """Fold one finite double into the expansion (exact, no rounding)."""
+        partials = self.partials
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+
+    def merge(self, other: "ExactSum") -> None:
+        """Fold another expansion in; exactness is preserved."""
+        for p in other.partials:
+            self.add(p)
+
+    def value(self) -> float:
+        """The correctly-rounded double nearest the exact sum."""
+        return math.fsum(self.partials)
+
+    def to_state(self) -> List[float]:
+        """JSON-ready checkpoint form (floats round-trip via repr)."""
+        return list(self.partials)
+
+    @classmethod
+    def from_state(cls, state: Sequence[float]) -> "ExactSum":
+        return cls(float(p) for p in state)
+
+    def __repr__(self) -> str:
+        return f"ExactSum({self.value()!r})"
+
+
 class Histogram:
-    """Fixed-bucket histogram with sum/count/min/max sidecars.
+    """Fixed-bucket histogram with exact-sum/count/min/max sidecars.
 
     ``bounds`` are inclusive upper edges; one overflow bucket catches
-    everything above the last bound.  Fixed buckets keep snapshots
-    mergeable and diffable: two runs with the same bounds compare
-    bucket-by-bucket.
+    everything above the last bound.  NaN observations are skipped.  The
+    sum is an :class:`ExactSum`, so :meth:`merge` is exact bucket-wise
+    addition and any grouping of the same observations snapshots to the
+    same bytes — the live aggregator's chunking invariance rests on it.
+    Two runs with the same bounds compare bucket-by-bucket; merging
+    histograms with different bounds is a hard error, because silently
+    rebinning would fabricate data.
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "vmin", "vmax")
@@ -97,24 +161,42 @@ class Histogram:
             raise ValueError(f"histogram {self.name!r} needs at least one bound")
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
-        self.total = 0.0
+        self.total = ExactSum()
         self.vmin = float("inf")
         self.vmax = float("-inf")
 
     def observe(self, v: Number) -> None:
         v = float(v)
+        if math.isnan(v):
+            return
         self.bucket_counts[bisect_left(self.bounds, v)] += 1
         self.count += 1
-        self.total += v
+        self.total.add(v)
         if v < self.vmin:
             self.vmin = v
         if v > self.vmax:
             self.vmax = v
 
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other`` in: bucket-wise addition, exact sum, widened range."""
+        if self.bounds != other.bounds:
+            raise ValueError(
+                f"cannot merge histograms with different bounds: "
+                f"{self.bounds} vs {other.bounds}"
+            )
+        for i, n in enumerate(other.bucket_counts):
+            self.bucket_counts[i] += n
+        self.count += other.count
+        self.total.merge(other.total)
+        if other.vmin < self.vmin:
+            self.vmin = other.vmin
+        if other.vmax > self.vmax:
+            self.vmax = other.vmax
+
     @property
     def mean(self) -> float:
         """Mean of observed values; NaN (not a misleading 0.0) when empty."""
-        return self.total / self.count if self.count else float("nan")
+        return self.total.value() / self.count if self.count else float("nan")
 
     def percentile(self, q: float) -> float:
         """Estimate the q-th percentile (0-100) from the bucket counts.
@@ -143,11 +225,32 @@ class Histogram:
         buckets["overflow"] = self.bucket_counts[-1]
         return {
             "count": self.count,
-            "sum": self.total,
+            "sum": self.total.value(),
             "min": self.vmin if self.count else None,
             "max": self.vmax if self.count else None,
             "buckets": buckets,
         }
+
+    def to_state(self) -> Dict[str, object]:
+        """JSON-ready checkpoint form; :meth:`from_state` inverts it."""
+        return {
+            "bounds": list(self.bounds),
+            "bucket_counts": list(self.bucket_counts),
+            "count": self.count,
+            "total": self.total.to_state(),
+            "min": None if self.count == 0 else self.vmin,
+            "max": None if self.count == 0 else self.vmax,
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict[str, object], name: str) -> "Histogram":
+        out = cls(name, state["bounds"])
+        out.bucket_counts = [int(n) for n in state["bucket_counts"]]
+        out.count = int(state["count"])
+        out.total = ExactSum.from_state(state["total"])
+        out.vmin = math.inf if state["min"] is None else float(state["min"])
+        out.vmax = -math.inf if state["max"] is None else float(state["max"])
+        return out
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3g})"
@@ -318,72 +421,6 @@ def snapshot_to_json(snapshot: Dict[str, object]) -> str:
     the byte-identity tests and ``repro obs diff`` both rely on it.
     """
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _merge_histogram_snapshots(
-    name: str, left: Dict[str, object], right: Dict[str, object]
-) -> Dict[str, object]:
-    lb = left.get("buckets", {}) or {}
-    rb = right.get("buckets", {}) or {}
-    if set(lb) != set(rb):
-        raise ValueError(
-            f"histogram {name!r} has mismatched buckets: "
-            f"{sorted(set(lb) ^ set(rb))}"
-        )
-    mins = [s["min"] for s in (left, right) if s.get("min") is not None]
-    maxs = [s["max"] for s in (left, right) if s.get("max") is not None]
-    return {
-        "count": int(left["count"]) + int(right["count"]),
-        "sum": float(left["sum"]) + float(right["sum"]),
-        "min": min(mins) if mins else None,
-        "max": max(maxs) if maxs else None,
-        "buckets": {label: int(lb[label]) + int(rb[label]) for label in lb},
-    }
-
-
-def merge_snapshots(
-    left: Dict[str, object], right: Dict[str, object]
-) -> Dict[str, object]:
-    """Combine two registry snapshots into one (multi-process roll-up).
-
-    The merge rules follow each metric kind's semantics:
-
-    * **counters** add — two processes each counting events saw the union;
-    * **gauges** are last-writer-wins: ``right`` is the later snapshot, so
-      its value stands (a gauge present on only one side keeps that value);
-    * **histograms** add bucket-wise (same ``le_*`` labels required, else
-      ``ValueError``), with count/sum summed and min/max widened.
-
-    Counter and histogram merging is associative *and* commutative;
-    gauges are associative only — the last writer is positional by
-    definition.  Output keys are sorted, so merging snapshots and
-    snapshotting a merged registry serialize identically.
-    """
-    lc = left.get("counters", {}) or {}
-    rc = right.get("counters", {}) or {}
-    lg = left.get("gauges", {}) or {}
-    rg = right.get("gauges", {}) or {}
-    lh = left.get("histograms", {}) or {}
-    rh = right.get("histograms", {}) or {}
-    counters = {
-        name: lc.get(name, 0) + rc.get(name, 0)
-        for name in sorted(set(lc) | set(rc))
-    }
-    gauges = {
-        name: rg[name] if name in rg else lg[name]
-        for name in sorted(set(lg) | set(rg))
-    }
-    histograms: Dict[str, object] = {}
-    for name in sorted(set(lh) | set(rh)):
-        if name not in lh:
-            histograms[name] = rh[name]
-        elif name not in rh:
-            histograms[name] = lh[name]
-        else:
-            histograms[name] = _merge_histogram_snapshots(
-                name, lh[name], rh[name]
-            )
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 def diff_snapshots(

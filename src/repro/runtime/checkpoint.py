@@ -15,8 +15,8 @@ generation is *detected*, quarantined, and skipped in favour of the
 previous one; only when every generation is corrupt does :meth:`load`
 raise a typed :class:`~repro.util.errors.CheckpointCorruptError`, which
 the pipeline's resume path treats as "recompute the stage", never as a
-crash.  Legacy bare-pickle ``<stage>.pkl`` files from older runs are
-still read (and verified as well as a raw pickle can be).
+crash.  Only framed generations are read: a file no checksum vouches for
+is never unpickled.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class CheckpointStore:
     ``codec`` picks the payload encoding: ``"pickle"`` (the default —
     arbitrary Python values) or ``"json"`` — canonical JSON
     (sorted keys, compact separators), used by the live daemon so its
-    window-state checkpoints are byte-stable and greppable.  JSON stores
-    never fall back to legacy ``.pkl`` files.
+    window-state checkpoints are byte-stable and greppable.
     """
 
     def __init__(self, root: str, keep: int = DEFAULT_KEEP, codec: str = "pickle"):
@@ -95,9 +94,6 @@ class CheckpointStore:
     def _base(self, key: str, stage: str) -> str:
         safe = stage.replace(os.sep, "_")
         return os.path.join(self.root, key, safe)
-
-    def _legacy_path(self, key: str, stage: str) -> str:
-        return f"{self._base(key, stage)}.pkl"
 
     def _generations(self, key: str, stage: str) -> storage.GenerationStore:
         kind = CHECKPOINT_KIND if self.codec == "pickle" else CHECKPOINT_JSON_KIND
@@ -114,9 +110,7 @@ class CheckpointStore:
         Existence is deliberately cheap and unverified; :meth:`load` does
         the integrity work and decides what is actually usable.
         """
-        if len(self._generations(key, stage)):
-            return True
-        return storage.get_fs().exists(self._legacy_path(key, stage))
+        return len(self._generations(key, stage)) > 0
 
     def _decode(self, payload: bytes, stage: str, path: str) -> Any:
         try:
@@ -168,26 +162,6 @@ class CheckpointStore:
             obs.counter("checkpoint.hits").inc()
             return value
 
-        legacy = self._legacy_path(key, stage)
-        fs = storage.get_fs()
-        if self.codec == "pickle" and fs.exists(legacy):
-            try:
-                payload = storage.read_bytes(legacy)
-                value = pickle.loads(payload)
-            except Exception as exc:
-                self.misses += 1
-                obs.counter("checkpoint.misses").inc()
-                obs.counter("checkpoint.corrupt").inc()
-                moved = storage.quarantine_file(legacy, "legacy pickle unreadable")
-                raise CheckpointCorruptError(
-                    legacy,
-                    f"corrupt checkpoint for stage {stage!r}: {exc}",
-                    quarantined_to=moved,
-                ) from exc
-            self.hits += 1
-            obs.counter("checkpoint.hits").inc()
-            return value
-
         self.misses += 1
         obs.counter("checkpoint.misses").inc()
         raise PipelineError(
@@ -212,13 +186,10 @@ class CheckpointStore:
 
     def drop(self, key: str, stage: Optional[str] = None) -> None:
         """Remove one stage's checkpoint, or every stage under the key."""
-        fs = storage.get_fs()
         if stage is not None:
             self._generations(key, stage).drop()
-            legacy = self._legacy_path(key, stage)
-            if fs.exists(legacy):
-                fs.remove(legacy)
             return
+        fs = storage.get_fs()
         key_dir = os.path.join(self.root, key)
         if os.path.isdir(key_dir):
             for name in fs.listdir(key_dir):

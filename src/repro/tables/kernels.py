@@ -16,9 +16,9 @@ vectorized steps:
    contiguous run.  ``segment_reduce`` with the old ``AGGREGATORS``
    functions reproduces the legacy results *bit for bit* (same value
    sequence per group, same numpy call), which is what keeps the paper
-   expectation gates byte-identical; the ``group_sum``/``group_mean``/...
-   reduceat kernels trade that guarantee for raw throughput and are used by
-   the benchmarks and by callers that opt in.
+   expectation gates byte-identical.  :func:`group_reduce_batched`
+   vectorizes the common aggregators across all groups at once under the
+   same bit-for-bit contract.
 
 STR columns never decode here — everything runs on dictionary codes.
 """
@@ -45,10 +45,6 @@ __all__ = [
     "group_first_index",
     "group_min",
     "group_max",
-    "group_sum",
-    "group_mean",
-    "group_std",
-    "group_percentile",
     "group_moments_exact",
     "group_nunique",
     "group_reduce_batched",
@@ -241,95 +237,6 @@ def group_min(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.n
 def group_max(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """NaN-ignoring per-group maximum (all-NaN group -> NaN)."""
     return np.fmax.reduceat(values.astype(np.float64)[order], starts)
-
-
-def group_sum(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-group NaN-ignoring sum via ``np.add.reduceat``.
-
-    Throughput kernel: summation is sequential per run rather than numpy's
-    pairwise ``nansum``, so the low bits can differ from the legacy
-    aggregator.  The engine's default path uses :func:`segment_reduce`
-    instead; use this when speed matters more than bit equality.
-    """
-    vals = values.astype(np.float64)[order]
-    return np.add.reduceat(np.nan_to_num(vals, nan=0.0), starts)
-
-
-def group_mean(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-group NaN-ignoring mean (throughput kernel; see group_sum)."""
-    vals = values.astype(np.float64)[order]
-    ok = ~np.isnan(vals)
-    total = np.add.reduceat(np.where(ok, vals, 0.0), starts)
-    denom = np.add.reduceat(ok.astype(np.float64), starts)
-    with np.errstate(invalid="ignore"):
-        return total / denom
-
-
-def group_std(
-    values: np.ndarray, order: np.ndarray, starts: np.ndarray, ddof: int = 1
-) -> np.ndarray:
-    """Per-group NaN-ignoring sample std via the two-pass formula.
-
-    Throughput kernel: uses mean-centered sum of squares per run, so the
-    low bits can differ from the legacy ``np.std`` call.  Groups with fewer
-    than ``ddof + 1`` non-NaN values yield NaN, matching the legacy
-    aggregator's contract.
-    """
-    vals = values.astype(np.float64)[order]
-    ok = ~np.isnan(vals)
-    n = np.add.reduceat(ok.astype(np.float64), starts)
-    total = np.add.reduceat(np.where(ok, vals, 0.0), starts)
-    with np.errstate(invalid="ignore"):
-        mean = total / n
-    centered = np.where(ok, vals - np.repeat(mean, _run_lengths(starts, len(vals))), 0.0)
-    ss = np.add.reduceat(centered * centered, starts)
-    out = np.full(len(starts), np.nan)
-    good = n > ddof
-    with np.errstate(invalid="ignore"):
-        out[good] = np.sqrt(ss[good] / (n[good] - ddof))
-    return out
-
-
-def group_percentile(
-    values: np.ndarray,
-    order: np.ndarray,
-    starts: np.ndarray,
-    q: float,
-) -> np.ndarray:
-    """Per-group NaN-ignoring linear-interpolation percentile, vectorized.
-
-    Sorts values within each run once, then gathers the two bracketing
-    order statistics per group and interpolates — no per-group Python
-    call.  Matches ``np.nanpercentile``'s default (linear) method.
-    """
-    vals = values.astype(np.float64)[order]
-    gids_sorted = np.repeat(
-        np.arange(len(starts), dtype=np.int64), _run_lengths(starts, len(vals))
-    )
-    nan = np.isnan(vals)
-    # NaN-aware within-group sort: lexsort by (nan-last, value) within gid
-    sorter = np.lexsort((vals, nan, gids_sorted))
-    svals = vals[sorter]
-    n_valid = np.add.reduceat((~nan).astype(np.int64), starts) if len(vals) else np.zeros(0, np.int64)
-    out = np.full(len(starts), np.nan)
-    good = n_valid > 0
-    if not good.any():
-        return out
-    pos = (q / 100.0) * (n_valid[good] - 1)
-    lo = np.floor(pos).astype(np.int64)
-    hi = np.ceil(pos).astype(np.int64)
-    base = starts[good]
-    vlo = svals[base + lo]
-    vhi = svals[base + hi]
-    # numpy's two-sided lerp: interpolate from the nearer endpoint so the
-    # result is bit-identical to np.nanpercentile even at subnormal edges
-    t = pos - lo
-    diff = vhi - vlo
-    interp = vlo + t * diff
-    upper = t >= 0.5
-    interp[upper] = vhi[upper] - (1.0 - t[upper]) * diff[upper]
-    out[good] = interp
-    return out
 
 
 def group_nunique(fact: Factorized, col: Column) -> np.ndarray:

@@ -237,6 +237,6 @@ class TestRealTreeGate:
             }
         )
         assert result.report["summary"]["functions"] == 1
-        assert result.report["summary"]["parallel_safe"] == 1
+        assert result.report["summary"]["with_effects"] == 0
         analysis = infer_effects(result.project)
-        assert analysis.is_parallel_safe("repro.a.pure")
+        assert analysis.effects_of("repro.a.pure") == frozenset()

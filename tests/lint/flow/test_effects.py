@@ -72,7 +72,6 @@ class TestPropagation:
         )
         analysis = infer_effects(project)
         assert analysis.effects_of("repro.a.double") == frozenset()
-        assert analysis.is_parallel_safe("repro.a.double")
 
 
 class TestSeams:
@@ -97,7 +96,6 @@ class TestSeams:
         kernel = "repro.tables.kernels.sample"
         assert analysis.effects_of(kernel) == frozenset()
         assert analysis.sanctioned_of(kernel) == {"util.rng"}
-        assert analysis.is_parallel_safe(kernel)
 
     def test_sanctioned_seams_propagate_to_callers(self, project_of):
         project = project_of(
@@ -121,9 +119,9 @@ class TestSeams:
         assert analysis.sanctioned_of("repro.a.indirect") == {"util.rng"}
 
     def test_profiler_seam_shadows_the_obs_seam(self):
-        from repro.lint.flow.effects import seam_of
+        from repro.lint.seams import seam_of
 
-        # Insertion order matters: the profiler's more specific fragment
+        # Table order matters: the profiler's more specific fragment
         # must win over the enclosing repro/obs/ seam.
         assert seam_of("src/repro/obs/profile/sampler.py") == "obs.profile"
         assert seam_of("src/repro/obs/clock.py") == "obs"

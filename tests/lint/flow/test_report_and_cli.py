@@ -74,7 +74,6 @@ class TestEffectsReport:
         text = result.explain("top")
         assert "reads-clock" in text
         assert "top -> leaf" in text
-        assert "parallel-safe: NO" in text
         assert "matching" in result.explain("no_such_function")
 
 
@@ -116,6 +115,19 @@ class TestCli:
         data = json.loads(out_path.read_text(encoding="utf-8"))
         assert validate_effects_report(data) == []
 
+    def test_flow_writes_no_report_unless_asked(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        root = _write_tree(
+            tmp_path, {"repro/a.py": "def f(x):\n    return x\n"}
+        )
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["lint", str(root), "--flow", "--no-baseline", "--no-flow-cache"]
+        )
+        assert code == 0
+        assert not (tmp_path / "results").exists()
+
     def test_flow_summary_in_json_format(self, tmp_path, capsys):
         root = _write_tree(
             tmp_path, {"repro/a.py": "def f(x):\n    return x\n"}
@@ -129,7 +141,7 @@ class TestCli:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["flow"]["functions"] == 1
-        assert payload["flow"]["parallel_safe"] == 1
+        assert payload["flow"]["with_effects"] == 0
 
     def test_effects_subcommand(self, tmp_path, capsys, monkeypatch):
         root = _write_tree(

@@ -60,7 +60,6 @@ class TestFlowClean:
         ]
         assert len(kernel_functions) > 20
         impure = [
-            qual for qual in kernel_functions
-            if not analysis.is_parallel_safe(qual)
+            qual for qual in kernel_functions if analysis.effects_of(qual)
         ]
         assert impure == [], f"impure kernel/stats functions: {impure}"

@@ -1,10 +1,11 @@
 """The sanctioned network seam: forbidden-import carve-out + flow rule.
 
 Two layers enforce the same boundary (``repro/obs/live/`` is the one
-place allowed to touch sockets/HTTP):
+place allowed to touch sockets/HTTP), both reading the seam table and
+its one list of network modules in ``repro.lint.seams``:
 
-* the per-file ``forbidden-import`` rule allows the stdlib network
-  modules inside the seam (and benchmarks) only — pandas stays banned
+* the per-file ``forbidden-import`` rule allows the network modules
+  inside the seam (and benchmarks) only — pandas stays banned
   everywhere;
 * the whole-program ``unsanctioned-network`` rule flags any function
   with a *direct* network effect whose file is outside the seam.
@@ -14,8 +15,8 @@ import ast
 
 from repro.lint.context import FileContext, LintConfig
 from repro.lint.flow.analyzer import analyze_paths
-from repro.lint.flow.effects import SEAMS, check_network_seam, seam_of
 from repro.lint.rules.imports import ForbiddenImportRule
+from repro.lint.seams import NETWORK_MODULES, SEAMS, allowed, seam_of
 
 
 def import_findings(source, relpath):
@@ -52,10 +53,13 @@ class TestForbiddenImportCarveOut:
 
 class TestFlowNetworkRule:
     def test_obs_live_is_a_registered_seam_before_obs(self):
-        keys = list(SEAMS)
+        keys = [seam.name for seam in SEAMS]
         assert keys.index("obs.live") < keys.index("obs")
         assert seam_of("src/repro/obs/live/service.py") == "obs.live"
         assert seam_of("src/repro/obs/metrics.py") == "obs"
+        # the live service still reads clocks through the enclosing obs row
+        assert allowed("src/repro/obs/live/service.py", "reads-clock")
+        assert not allowed("src/repro/obs/metrics.py", "network")
 
     def _analyze(self, tmp_path, files):
         for rel, source in files.items():
@@ -65,19 +69,22 @@ class TestFlowNetworkRule:
         return analyze_paths([tmp_path], root=tmp_path)
 
     def test_direct_network_effect_outside_seam_is_flagged(self, tmp_path):
-        result = self._analyze(tmp_path, {
-            "repro/analysis/fetch.py": (
-                "import urllib.request\n"
-                "def pull(url):\n"
-                "    return urllib.request.urlopen(url)\n"
-            ),
-        })
-        rules = [d.rule for d in result.diagnostics]
-        assert "unsanctioned-network" in rules
-        finding = next(
+        # One offender per module of the network list, the same list the
+        # forbidden-import rule bans, so the two layers cannot drift.
+        files = {
+            f"repro/analysis/fetch_{module}.py": (
+                f"import {module}\n"
+                f"def pull(url):\n"
+                f"    return {module}.client.open(url)\n"
+            )
+            for module in sorted(NETWORK_MODULES)
+        }
+        result = self._analyze(tmp_path, files)
+        findings = [
             d for d in result.diagnostics if d.rule == "unsanctioned-network"
-        )
-        assert "repro/obs/live" in finding.message
+        ]
+        assert sorted(d.path for d in findings) == sorted(files)
+        assert all("repro/obs/live" in d.message for d in findings)
 
     def test_seam_code_and_its_callers_are_clean(self, tmp_path):
         result = self._analyze(tmp_path, {

@@ -139,7 +139,7 @@ class TestAllowed:
         assert lint_snippet(source, RULE) == []
 
     def test_schema_exempt_files_skipped(self, lint_snippet, small_schema_config):
-        # the bench micro suite's synthetic tables are exempt by config
+        # the bench micro suite's synthetic tables are exempt
         source = 't.group_by("k").aggregate({"m": ("v", "mean")})\n'
         assert (
             lint_snippet(

@@ -17,16 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.live.window import (
-    ExactSum,
-    MergeableHistogram,
     MomentState,
     ScopeKey,
     SlidingWindowAggregator,
     WindowConfig,
     moments_from_sums,
 )
+from repro.obs.metrics import ExactSum, Histogram
 from repro.tables.kernels import group_moments_exact
-from repro.util.errors import ReproError
 
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -137,9 +135,11 @@ class TestBatchParity:
 
 
 class TestMergeableHistogram:
+    """The one histogram (``obs.metrics.Histogram``) the live state merges."""
+
     def test_bucketing_and_merge(self):
-        a = MergeableHistogram((1.0, 10.0))
-        b = MergeableHistogram((1.0, 10.0))
+        a = Histogram("a", (1.0, 10.0))
+        b = Histogram("b", (1.0, 10.0))
         for v in (0.5, 5.0):
             a.observe(v)
         for v in (5.0, 50.0):
@@ -150,10 +150,37 @@ class TestMergeableHistogram:
         assert snap["buckets"] == {"le_1": 1, "le_10": 2, "overflow": 1}
 
     def test_mismatched_bounds_refuse_to_merge(self):
-        a = MergeableHistogram((1.0, 10.0))
-        b = MergeableHistogram((1.0, 100.0))
-        with pytest.raises(ReproError):
+        a = Histogram("a", (1.0, 10.0))
+        b = Histogram("b", (1.0, 100.0))
+        with pytest.raises(ValueError, match="different bounds"):
             a.merge(b)
+
+    def test_nan_is_skipped(self):
+        h = Histogram("h", (0.1, 10.0))
+        h.observe(3.0)
+        before = h.snapshot()
+        h.observe(float("nan"))
+        assert h.snapshot() == before
+        assert before["count"] == 1 and before["sum"] == 3.0
+        assert before["buckets"] == {"le_0.1": 0, "le_10": 1, "overflow": 0}
+
+    def test_sum_is_exact(self):
+        h = Histogram("h", (1.0,))
+        for v in (0.1, 0.2, 0.3):
+            h.observe(v)
+        assert h.snapshot()["sum"] == 0.6
+
+    def test_state_round_trips(self):
+        h = Histogram("h", (1.0, 10.0))
+        for v in (0.1, 0.2, 0.3, 50.0):
+            h.observe(v)
+        state = h.to_state()
+        assert sorted(state) == [
+            "bounds", "bucket_counts", "count", "max", "min", "total",
+        ]
+        back = Histogram.from_state(json.loads(json.dumps(state)), "h")
+        assert back.snapshot() == h.snapshot()
+        assert back.to_state() == state
 
 
 class TestAggregatorChunking:

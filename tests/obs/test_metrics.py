@@ -1,10 +1,14 @@
 """The metrics pillar: counters, gauges, histograms, snapshots, diffs."""
 
+import itertools
 import json
 import math
+import sys
+import threading
 
 import pytest
 
+from repro import obs
 from repro.obs.metrics import (
     DEFAULT_MS_BUCKETS,
     NULL_METRIC,
@@ -188,3 +192,42 @@ class TestDiff:
         h1 = {"count": 5, "sum": 16.0}
         d = diff_snapshots({"histograms": {"h": h0}}, {"histograms": {"h": h1}})
         assert d["histograms"]["h"] == {"count_delta": 3, "sum_delta": 6.0}
+
+
+class TestConcurrentObserve:
+    def test_span_fed_histogram_survives_many_threads(self):
+        # The health service times every request into one registry
+        # histogram from its handler threads; the exact sum is not atomic.
+        # A clock whose readings span many magnitudes keeps the sum's
+        # partials list long, which is where unserialized updates collide.
+        ticks = itertools.count()
+
+        def clock():
+            k = next(ticks)
+            return math.sin(k) * 10.0 ** (k % 13 - 6)
+
+        obs.enable(trace=False, metrics=True, clock=clock)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(2000):
+                    with obs.span("t", metric="test.request_ms"):
+                        pass
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often to expose races
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        hist = obs.metrics_registry().histogram("test.request_ms")
+        assert hist.count == 16000

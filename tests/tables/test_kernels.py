@@ -312,57 +312,3 @@ class TestRegressionFixes:
         assert c.to_list() == ["b", None, "a", "b", ""]
         taken = c.take(np.asarray([4, 1, 0]))
         assert taken.to_list() == ["", None, "b"]
-
-
-class TestThroughputKernels:
-    """The reduceat kernels: not bit-guaranteed, but numerically tight."""
-
-    @given(keyed_tables())
-    @settings(max_examples=40, deadline=None)
-    def test_group_sum_mean_close_to_legacy(self, t):
-        fact = kernels.factorize([t.column("k")])
-        order, starts = kernels.group_sorter(fact)
-        v = t.column("v").values
-        with np.errstate(all="ignore"):
-            legacy = legacy_aggregate(
-                t, ["k"], {"s": ("v", "sum"), "m": ("v", "mean")}
-            )
-            s = kernels.group_sum(v, order, starts)
-            m = kernels.group_mean(v, order, starts)
-        np.testing.assert_allclose(
-            s, np.asarray(legacy.column("s").values), rtol=1e-9, atol=1e-6
-        )
-        np.testing.assert_allclose(
-            m, np.asarray(legacy.column("m").values), rtol=1e-9, atol=1e-6
-        )
-
-    @given(keyed_tables())
-    @settings(max_examples=40, deadline=None)
-    def test_group_percentile_matches_nanpercentile(self, t):
-        fact = kernels.factorize([t.column("k")])
-        order, starts = kernels.group_sorter(fact)
-        v = t.column("v").values
-        with np.errstate(all="ignore"):
-            got = kernels.group_percentile(v, order, starts, 75.0)
-            expected = [
-                np.nanpercentile(seg, 75.0) if not np.all(np.isnan(seg)) else np.nan
-                for seg in kernels.segment_reduce(v, order, starts, lambda x: x)
-            ]
-        np.testing.assert_allclose(got, expected, rtol=1e-12, equal_nan=True)
-
-    @given(keyed_tables())
-    @settings(max_examples=40, deadline=None)
-    def test_group_std_close_to_legacy(self, t):
-        fact = kernels.factorize([t.column("k")])
-        order, starts = kernels.group_sorter(fact)
-        v = t.column("v").values
-        with np.errstate(all="ignore"):
-            got = kernels.group_std(v, order, starts)
-            legacy = legacy_aggregate(t, ["k"], {"sd": ("v", "std")})
-        np.testing.assert_allclose(
-            got,
-            np.asarray(legacy.column("sd").values),
-            rtol=1e-7,
-            atol=1e-9,
-            equal_nan=True,
-        )
