@@ -398,14 +398,9 @@ class AlertEngine:
             return []
 
         fired: Dict[str, Tuple[object, Dict[str, object]]] = {}
-        windows: Dict[int, Dict[str, KeyState]] = {}
         baseline = agg.baseline_state()
         for rule in self.metric_rules:
-            window = windows.get(rule.window_days)
-            if window is None:
-                window = windows[rule.window_days] = agg.window_state(
-                    day, days=rule.window_days
-                )
+            window = agg.window_state(day, days=rule.window_days)
             for label, state in window.items():
                 if self._scope_kind(label) not in rule.scope_kinds:
                     continue

@@ -8,8 +8,10 @@ contract).  The cut points are *only* a throughput knob: the exact
 aggregation downstream guarantees any ``batch_rows`` produces the same
 bytes, and the determinism suite holds it to that.
 
-Days with zero tests still tick (:meth:`ReplaySource.calendar`) — a
-silent day is exactly what the volume-collapse rule needs to see.
+A day with zero tests yields no batch, but it still ticks: the daemon's
+clock (:class:`~repro.obs.live.daemon.SimulatedClock`) closes every day
+of the window, and a silent day is exactly what the volume-collapse rule
+needs to see.
 """
 
 from __future__ import annotations
@@ -114,13 +116,6 @@ class ReplaySource:
     def n_rows(self) -> int:
         return len(self._day)
 
-    def calendar(self) -> range:
-        """Every day ordinal in the replay window, silent days included."""
-        return range(self.start, self.end + 1)
-
-    def days_with_rows(self) -> List[int]:
-        return sorted(self._day_slices)
-
     def _batch(self, lo: int, hi: int, day: int) -> Batch:
         n = hi - lo
         scopes: List[ScopeKey] = [ScopeKey("national", "")]
@@ -151,8 +146,3 @@ class ReplaySource:
         step = self.batch_rows if self.batch_rows else (hi - lo)
         for s in range(lo, hi, step):
             yield self._batch(s, min(s + step, hi), int(day))
-
-    def __iter__(self) -> Iterator[Tuple[int, List[Batch]]]:
-        """(day, batches) for every calendar day, silent days included."""
-        for day in self.calendar():
-            yield day, list(self.batches_for_day(day))

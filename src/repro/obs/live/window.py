@@ -22,14 +22,25 @@ every path) and derives mean/variance through one shared formula,
 matching :func:`repro.tables.kernels.group_moments_exact` bit-for-bit.
 The per-day histograms are :class:`repro.obs.metrics.Histogram`, whose
 sum is the same expansion and whose merge is exact bucket-wise addition.
-The hypothesis suite in ``tests/obs/live/`` pins all of this down.
+
+Windows are read-only **folds** of day buckets (:meth:`KeyState.fold`):
+counts add, extremes widen, and each sum keeps its constituents'
+partials side by side (:meth:`ExactSum.of`).  Concatenated partials
+still add up to the exact total and ``math.fsum`` rounds any list
+correctly, so a fold renders the same bytes as merging one by one.  The
+aggregator assembles each distinct window at most once per day close
+and hands the same views to the detector and the health service.  Only
+checkpointed state — day buckets and the compacted baseline — is built
+by the normalizing :meth:`KeyState.merge`, so checkpoints keep their
+bytes.  The hypothesis suite in ``tests/obs/live/`` pins all of this
+down.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import ExactSum, Histogram
 from repro.util.timeutil import Day
@@ -110,10 +121,6 @@ class MomentState:
         if v > self.vmax:
             self.vmax = v
 
-    def update_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.update(v)
-
     def merge(self, other: "MomentState") -> None:
         self.n += other.n
         self.sum.merge(other.sum)
@@ -123,9 +130,20 @@ class MomentState:
         if other.vmax > self.vmax:
             self.vmax = other.vmax
 
-    def copy(self) -> "MomentState":
-        out = MomentState()
-        out.merge(self)
+    @classmethod
+    def fold(cls, states: Sequence["MomentState"]) -> "MomentState":
+        """A new state of every value in ``states`` (see :meth:`KeyState.fold`)."""
+        n, vmin, vmax = 0, math.inf, -math.inf
+        for s in states:
+            n += s.n
+            if s.vmin < vmin:
+                vmin = s.vmin
+            if s.vmax > vmax:
+                vmax = s.vmax
+        out = cls.__new__(cls)
+        out.n, out.vmin, out.vmax = n, vmin, vmax
+        out.sum = ExactSum.of([s.sum for s in states])
+        out.sumsq = ExactSum.of([s.sumsq for s in states])
         return out
 
     @property
@@ -247,9 +265,26 @@ class KeyState:
         for name, h in other.hists.items():
             self.hists[name].merge(h)
 
-    def copy(self) -> "KeyState":
-        out = KeyState()
-        out.merge(self)
+    @classmethod
+    def fold(cls, states: Sequence["KeyState"]) -> "KeyState":
+        """A new state of every row in ``states`` (at least one).
+
+        Snapshots to the same bytes as merging ``states`` in order into a
+        fresh :class:`KeyState`, but its sums are concatenated rather than
+        normalized (:meth:`ExactSum.of`): use it for read-only views, and
+        :meth:`merge` for state that is checkpointed.
+        """
+        first = states[0]
+        out = cls.__new__(cls)
+        out.rows = sum([s.rows for s in states])
+        out.moments = {
+            name: MomentState.fold([s.moments[name] for s in states])
+            for name in first.moments
+        }
+        out.hists = {
+            name: Histogram.fold([s.hists[name] for s in states])
+            for name in first.hists
+        }
         return out
 
     def snapshot(self, histograms: bool = True) -> Dict[str, object]:
@@ -317,12 +352,16 @@ class SlidingWindowAggregator:
     """Per-(scope, metric) sliding-window state over a day-bucketed stream.
 
     Rows land in per-day :class:`KeyState` buckets; windows are assembled
-    by merging day buckets, which is exact, so **any** chunking of the
-    same rows produces byte-identical window snapshots.  Day buckets
-    older than the retention horizon are folded into the compacted
-    baseline (when inside the baseline period) or dropped — the live
-    daemon's memory footprint is bounded by ``retain_days × scopes``,
-    not by stream length.
+    by folding day buckets, which is exact, so **any** chunking of the
+    same rows produces byte-identical window snapshots.  Each distinct
+    window is assembled at most once between two changes of the state
+    (:meth:`ingest`, :meth:`close_day`), and every reader gets the same
+    dict: the window methods return shared, read-only views, as
+    :meth:`day_state` returns the live bucket.  Callers must not mutate
+    them.  Day buckets older than the retention horizon are merged into
+    the compacted baseline (when inside the baseline period) or dropped
+    — the live daemon's memory footprint is bounded by
+    ``retain_days × scopes``, not by stream length.
     """
 
     def __init__(self, config: WindowConfig = WindowConfig()):
@@ -335,6 +374,8 @@ class SlidingWindowAggregator:
         self.baseline_days_compacted = 0
         self.rows_ingested = 0
         self.last_day: Optional[int] = None
+        #: windows assembled since the state last changed (not checkpointed)
+        self._memo: Dict[object, Dict[str, KeyState]] = {}
 
     # -- ingest --------------------------------------------------------------
     def ingest(
@@ -354,6 +395,7 @@ class SlidingWindowAggregator:
         floats; NaNs are skipped per metric.
         """
         day = int(day)
+        self._memo.clear()
         bucket = self.days.setdefault(day, {})
         for key, rows in zip(scopes, scope_rows):
             state = bucket.get(key.label())
@@ -368,6 +410,7 @@ class SlidingWindowAggregator:
     def close_day(self, day: int) -> None:
         """Advance the horizon past ``day``: evict/compact stale buckets."""
         day = int(day)
+        self._memo.clear()
         if self.last_day is None or day > self.last_day:
             self.last_day = day
         cutoff = day - self.config.retain_days() + 1
@@ -383,41 +426,50 @@ class SlidingWindowAggregator:
                 self.baseline_days_compacted += 1
 
     # -- windows -------------------------------------------------------------
-    def _merge_days(self, ordinals: Iterable[int]) -> Dict[str, KeyState]:
-        out: Dict[str, KeyState] = {}
-        for d in sorted(ordinals):
-            bucket = self.days.get(d)
-            if not bucket:
-                continue
-            for label, state in bucket.items():
-                target = out.get(label)
-                if target is None:
-                    out[label] = state.copy()
-                else:
-                    target.merge(state)
-        return out
+    def _fold(
+        self,
+        key: object,
+        ordinals: Iterable[int],
+        extra: Iterable[Tuple[str, KeyState]] = (),
+    ) -> Dict[str, KeyState]:
+        """The memoized fold of the day buckets in ``ordinals``, then ``extra``."""
+        view = self._memo.get(key)
+        if view is None:
+            parts: Dict[str, List[KeyState]] = {}
+            for d in sorted(ordinals):
+                for label, state in self.days.get(d, {}).items():
+                    parts.setdefault(label, []).append(state)
+            for label, state in extra:
+                parts.setdefault(label, []).append(state)
+            view = self._memo[key] = {
+                label: KeyState.fold(states) for label, states in parts.items()
+            }
+        return view
 
     def window_state(self, day: int, days: Optional[int] = None) -> Dict[str, KeyState]:
-        """Merged per-scope state of the ``days`` (default config) ending at ``day``."""
+        """Per-scope state of the ``days`` (default config) ending at ``day``.
+
+        A shared, read-only view (see the class docstring).
+        """
         n = self.config.window_days if days is None else int(days)
         lo = day - n + 1
-        return self._merge_days(range(lo, day + 1))
+        return self._fold((lo, day + 1), range(lo, day + 1))
 
     def day_state(self, day: int) -> Dict[str, KeyState]:
-        """The single-day bucket (empty dict when the day saw no rows)."""
+        """The single-day bucket (empty dict when the day saw no rows).
+
+        The live bucket itself: shared and read-only, like the windows.
+        """
         return self.days.get(int(day), {})
 
     def baseline_state(self) -> Dict[str, KeyState]:
-        """Merged prewar-baseline state: compacted head + retained tail."""
-        tail = [d for d in self.days if d in self.config.baseline_ordinals]
-        merged = self._merge_days(tail)
-        for label, state in self.baseline_compact.items():
-            target = merged.get(label)
-            if target is None:
-                merged[label] = state.copy()
-            else:
-                target.merge(state)
-        return merged
+        """Prewar-baseline state: retained tail, then compacted head.
+
+        A shared, read-only view (see the class docstring).
+        """
+        baseline = self.config.baseline_ordinals
+        tail = [d for d in self.days if d in baseline]
+        return self._fold("baseline", tail, self.baseline_compact.items())
 
     def baseline_daily_counts(self) -> Dict[str, float]:
         """Mean rows/day per scope over the baseline period seen so far."""
@@ -432,9 +484,12 @@ class SlidingWindowAggregator:
         return {label: rows / n_days for label, rows in totals.items()}
 
     def recent_state(self, day: int) -> Dict[str, KeyState]:
-        """Trailing ``recent_days`` window *excluding* ``day`` itself."""
+        """Trailing ``recent_days`` window *excluding* ``day`` itself.
+
+        A shared, read-only view (see the class docstring).
+        """
         lo = day - self.config.recent_days
-        return self._merge_days(range(lo, day))
+        return self._fold((lo, day), range(lo, day))
 
     def recent_daily_counts(self, day: int) -> Dict[str, float]:
         """Mean rows/day per scope over the trailing reference window."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -86,14 +87,17 @@ class Gauge:
 class ExactSum:
     """An exactly-represented running sum of IEEE-754 doubles.
 
-    The value is carried as a list of non-overlapping *partials* whose
-    mathematical sum equals the true sum of everything added — Shewchuk's
-    grow-expansion, the same idea behind ``math.fsum``.  Because the
-    representation is exact, :meth:`add` and :meth:`merge` are associative
-    and commutative in the strongest sense: any order of any grouping of
-    the same values renders (:meth:`value`) to the identical double.
-    :meth:`add` edits the list in place, so one instance must not be fed
-    from two threads at once.
+    The value is carried as a list of *partials* whose mathematical sum
+    equals the true sum of everything added.  :meth:`value` is
+    ``math.fsum``, which rounds any list of doubles correctly, so the
+    rendered value is exact for any list of partials.  :meth:`add` and
+    :meth:`merge` run Shewchuk's grow-expansion (the idea behind
+    ``math.fsum``) and keep a normalized, non-overlapping list
+    normalized; :meth:`of` concatenates lists and does not normalize.
+    Either way the representation is exact, so any order of any grouping
+    of the same values renders to the identical double.  :meth:`add`
+    edits the list in place, so one instance must not be fed from two
+    threads at once.
     """
 
     __slots__ = ("partials",)
@@ -120,6 +124,18 @@ class ExactSum:
         """Fold another expansion in; exactness is preserved."""
         for p in other.partials:
             self.add(p)
+
+    @classmethod
+    def of(cls, sums: Iterable["ExactSum"]) -> "ExactSum":
+        """A new sum of ``sums``: their partials side by side.
+
+        Exact without renormalizing: the concatenated partials still add
+        up to the total, and :meth:`value` rounds any list correctly.
+        """
+        out = cls()
+        for s in sums:
+            out.partials += s.partials
+        return out
 
     def value(self) -> float:
         """The correctly-rounded double nearest the exact sum."""
@@ -192,6 +208,36 @@ class Histogram:
             self.vmin = other.vmin
         if other.vmax > self.vmax:
             self.vmax = other.vmax
+
+    @classmethod
+    def fold(cls, hists: Sequence["Histogram"]) -> "Histogram":
+        """A new histogram of every observation in ``hists`` (at least one).
+
+        Snapshots to the same bytes as merging them one by one into an
+        empty histogram: bucket counts add, the range widens, and the sum
+        is :meth:`ExactSum.of` theirs.  Name and bounds come from the
+        first; different bounds raise ``ValueError`` as in :meth:`merge`.
+        """
+        first = hists[0]
+        counts = [0] * len(first.bucket_counts)
+        n, vmin, vmax = 0, math.inf, -math.inf
+        for h in hists:
+            if h.bounds != first.bounds:
+                raise ValueError(
+                    f"cannot fold histograms with different bounds: "
+                    f"{first.bounds} vs {h.bounds}"
+                )
+            counts = list(map(add, counts, h.bucket_counts))
+            n += h.count
+            if h.vmin < vmin:
+                vmin = h.vmin
+            if h.vmax > vmax:
+                vmax = h.vmax
+        out = cls.__new__(cls)
+        out.name, out.bounds, out.bucket_counts = first.name, first.bounds, counts
+        out.count, out.vmin, out.vmax = n, vmin, vmax
+        out.total = ExactSum.of([h.total for h in hists])
+        return out
 
     @property
     def mean(self) -> float:

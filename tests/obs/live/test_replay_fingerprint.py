@@ -1,0 +1,109 @@
+"""Pinned outputs of the live replay: alerts, views, checkpoints, window.
+
+``test_daemon.py`` compares two runs of the same code, so a change that
+alters every run alike passes it.  These constants pin sha256 digests of
+what a full replay of the 2022 study window (default seed, scale 0.05)
+publishes and checkpoints, with a checkpoint directory and a subscribed
+health service that is never started:
+
+* ``alerts``: the canonical alerts document;
+* ``views``: every view-set the service published, in close order;
+* ``checkpoints``: every checkpointed ``LiveDaemon.to_state()``;
+* ``window``: the final ``window_snapshot()``.
+
+Speed-ups to window assembly, detection or publication must leave them
+alone.  Re-baselining on purpose -- a change that is meant to alter what
+the daemon publishes or checkpoints, such as a new rule, view or state
+field -- goes like this: print the new values with::
+
+    PYTHONPATH=src:tests/obs/live python -c "
+    import tempfile
+    from test_replay_fingerprint import replay_digests
+    from repro.synth import DatasetGenerator, GeneratorConfig
+    ds = DatasetGenerator(GeneratorConfig(seed=20220224, scale=0.05)).generate()
+    print(replay_digests(ds.ndt, tempfile.mkdtemp()))"
+
+paste them below, and say so in the change's description.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.obs.live.daemon import LiveDaemon
+from repro.obs.live.service import HealthService
+from repro.obs.live.source import ReplaySource
+from repro.obs.metrics import snapshot_to_json
+
+START, END = "2022-01-01", "2022-04-18"
+
+#: sha256 per output.
+PINNED = {
+    "alerts": "20eb204f17a64e881cead4495b3bd990a9c2fa9c050dd7feb57cdacdefa8aaf7",
+    "views": "bbf2c2ef7a6120d3f37e08441076298a10d7551fbc2377daaa8a2d0eef76a733",
+    "checkpoints": "cbbf77f44fe312b97c67a39d0909a6bf8ab8ece0f14dd3d747d72606d1a6bbd7",
+    "window": "aaae41c6e9b8d4ddc603cc63ac8f97e1cfcfda45163fd1589a59299888466192",
+}
+#: Alerts raised, view-sets published and checkpoints written.
+PINNED_COUNTS = {"alerts": 32, "views": 108, "checkpoints": 16}
+
+
+class _RecordingDaemon(LiveDaemon):
+    """Keeps the canonical bytes of every state it checkpoints."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checkpointed = []
+
+    def checkpoint(self):
+        self.checkpointed.append(snapshot_to_json(self.to_state()).encode("utf-8"))
+        return super().checkpoint()
+
+
+def _sha256(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def replay_digests(table, checkpoint_dir):
+    """Replay START..END; returns (digest per output, count per output)."""
+    daemon = _RecordingDaemon(
+        ReplaySource(table, START, END), checkpoint_dir=str(checkpoint_dir)
+    )
+    service = HealthService(daemon)  # subscribed; never started, no socket
+    view_sets = []
+    daemon.subscribe(lambda _day, _changes: view_sets.append(service._views))
+    daemon.run()
+    alerts = daemon.alerts_doc()
+    digests = {
+        "alerts": _sha256([snapshot_to_json(alerts).encode("utf-8")]),
+        "views": _sha256(
+            path.encode("utf-8") + b"\n" + body
+            for views in view_sets
+            for path, body in sorted(views.items())
+        ),
+        "checkpoints": _sha256(daemon.checkpointed),
+        "window": _sha256([snapshot_to_json(daemon.window_snapshot()).encode("utf-8")]),
+    }
+    counts = {
+        "alerts": len(alerts["alerts"]),
+        "views": len(view_sets),
+        "checkpoints": len(daemon.checkpointed),
+    }
+    return digests, counts
+
+
+@pytest.fixture(scope="module")
+def replay(live_dataset, tmp_path_factory):
+    return replay_digests(live_dataset.ndt, tmp_path_factory.mktemp("live"))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_replay_output_pinned(replay, name):
+    assert replay[0][name] == PINNED[name]
+
+
+def test_replay_counts_pinned(replay):
+    assert replay[1] == PINNED_COUNTS
