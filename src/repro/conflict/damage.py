@@ -51,20 +51,28 @@ class EdgeDamageModel:
         self._edge_scale = edge_scale
         self._wobble = wobble
         self._rng = rng
-        self._wobble_cache: Dict[Tuple[str, int], float] = {}
+        # Intensity is a function of (city, day), so a severity is too once
+        # its wobble is drawn: resolve each (city, day ordinal) once.
+        self._severities: Dict[Tuple[str, int], float] = {}
 
     def severity(self, city: str, day: DayLike) -> float:
-        """Damage severity for a city-day; 0 before the invasion."""
+        """Damage severity for a city-day; 0 before the invasion.
+
+        The first call for a city-day with nonzero intensity draws its
+        wobble; later calls return the stored value and draw nothing.
+        """
         d = Day.of(day)
-        base = self._intensity.city_intensity(city, d) * self._edge_scale
-        if base == 0.0:
-            return 0.0
         key = (city, d.ordinal)
-        if key not in self._wobble_cache:
-            self._wobble_cache[key] = float(
-                self._rng.uniform(-self._wobble, self._wobble)
-            )
-        return float(np.clip(base * (1.0 + self._wobble_cache[key]), 0.0, 1.0))
+        severity = self._severities.get(key)
+        if severity is None:
+            base = self._intensity.city_intensity(city, d) * self._edge_scale
+            if base == 0.0:
+                severity = 0.0
+            else:
+                wobble = float(self._rng.uniform(-self._wobble, self._wobble))
+                severity = float(np.clip(base * (1.0 + wobble), 0.0, 1.0))
+            self._severities[key] = severity
+        return severity
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 from repro.geo.distance import haversine_km
 from repro.geo.gazetteer import Gazetteer
 from repro.mlab.sites import Site, SiteRegistry
+from repro.util.rng import choice_cdf
 
 __all__ = ["LoadBalancer"]
 
@@ -51,7 +52,10 @@ class LoadBalancer:
             # Steep distance decay: the nearest site takes most assignments,
             # as M-Lab's locate service does, with some spill to runners-up.
             weights = 1.0 / np.maximum(dists, 1.0) ** 4
-            self._choices_by_city[city_name] = (ranked, weights / weights.sum())
+            self._choices_by_city[city_name] = (
+                ranked,
+                choice_cdf(weights / weights.sum()),
+            )
         return self._choices_by_city[city_name]
 
     def nearest_site(self, city_name: str) -> Site:
@@ -61,11 +65,15 @@ class LoadBalancer:
     def assign(
         self, client_ip_value: int, city_name: str, rng: np.random.Generator
     ) -> Site:
-        """The site serving this client (stable across the client's tests)."""
+        """The site serving this client (stable across the client's tests).
+
+        A new client's site is the index ``rng.choice(len(ranked), p=probs)``
+        would pick, from the same one ``rng.random()`` draw.
+        """
         site = self._assignments.get(client_ip_value)
         if site is None:
-            ranked, probs = self._city_choices(city_name)
-            site = ranked[int(rng.choice(len(ranked), p=probs))]
+            ranked, cdf = self._city_choices(city_name)
+            site = ranked[int(cdf.searchsorted(rng.random(), side="right"))]
             self._assignments[client_ip_value] = site
         return site
 

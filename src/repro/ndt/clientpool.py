@@ -9,7 +9,6 @@ clients by Zipf-weighted rank over its block's addresses.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -17,32 +16,10 @@ import numpy as np
 from repro.netbase.ipaddr import IPv4Address
 from repro.topology.iplayer import IpLayer
 from repro.util.errors import TopologyError
+from repro.util.rng import choice_cdf
 from repro.util.validation import check_positive
 
 __all__ = ["ClientPool"]
-
-
-def _choice_cdf(probs: np.ndarray) -> np.ndarray:
-    """The CDF ``Generator.choice(len(probs), p=probs)`` searches.
-
-    ``choice`` checks ``probs`` and builds this CDF on every call, then
-    returns ``cdf.searchsorted(rng.random(), side="right")``.  A fixed pool
-    runs the same checks and builds the CDF once.
-    """
-    if probs.ndim != 1:
-        raise ValueError("p must be 1-dimensional")
-    if probs.size == 0:
-        raise ValueError("a must be a positive integer unless no samples are taken")
-    total = math.fsum(probs)
-    if math.isnan(total):
-        raise ValueError("Probabilities contain NaN")
-    if (probs < 0).any():
-        raise ValueError("Probabilities are not non-negative")
-    if abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
-        raise ValueError("Probabilities do not sum to 1")
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 class ClientPool:
@@ -81,7 +58,7 @@ class ClientPool:
                     break  # every block exhausted
             ranks = np.arange(1, len(addresses) + 1, dtype=np.float64)
             weights = ranks**-self._zipf_a
-            self._cache[key] = (addresses, _choice_cdf(weights / weights.sum()))
+            self._cache[key] = (addresses, choice_cdf(weights / weights.sum()))
         return self._cache[key]
 
     def sample(self, asn: int, city: str, rng: np.random.Generator) -> IPv4Address:

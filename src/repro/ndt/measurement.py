@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.tables.schema import Cols, DType, Field, Schema
 from repro.util.timeutil import Day
 
-__all__ = ["LIVE_STREAM_COLUMNS", "NDT_SCHEMA", "NdtMeasurement"]
+__all__ = [
+    "LIVE_STREAM_COLUMNS",
+    "NDT_SCHEMA",
+    "NdtMeasurement",
+    "check_geo_labels",
+    "check_metric_columns",
+    "check_metrics",
+    "check_protocol",
+]
 
 #: Column layout of the NDT download table the analyses consume.  ``city``/
 #: ``oblast`` carry the geo-DB labels (None for the paper's 11.7% unlabeled
@@ -51,6 +61,49 @@ LIVE_STREAM_COLUMNS = (
 )
 
 
+def check_metrics(tput_mbps: float, min_rtt_ms: float, loss_rate: float) -> None:
+    """Require a positive throughput and min RTT and a loss in [0, 1]."""
+    if tput_mbps <= 0:
+        raise ValueError(f"tput_mbps must be positive, got {tput_mbps}")
+    if min_rtt_ms <= 0:
+        raise ValueError(f"min_rtt_ms must be positive, got {min_rtt_ms}")
+    if not 0.0 <= loss_rate <= 1.0:
+        raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
+
+
+def check_metric_columns(
+    test_ids: Sequence[int],
+    tput_mbps: Sequence[float],
+    min_rtt_ms: Sequence[float],
+    loss_rate: Sequence[float],
+) -> None:
+    """:func:`check_metrics` over whole columns, naming the first bad test."""
+    tput = np.asarray(tput_mbps, dtype=np.float64)
+    rtt = np.asarray(min_rtt_ms, dtype=np.float64)
+    loss = np.asarray(loss_rate, dtype=np.float64)
+    bad = (tput <= 0) | (rtt <= 0) | ~((loss >= 0.0) & (loss <= 1.0))
+    if bad.any():
+        i = int(bad.argmax())
+        try:
+            check_metrics(tput[i], rtt[i], loss[i])
+        except ValueError as exc:
+            raise ValueError(f"test {test_ids[i]}: {exc}") from None
+
+
+def check_geo_labels(city: Optional[str], oblast: Optional[str]) -> None:
+    """Require geo-DB city and oblast labels to be both set or both None."""
+    if (city is None) != (oblast is None):
+        raise ValueError("city and oblast labels must be both set or both None")
+
+
+def check_protocol(protocol: str, cca: str) -> None:
+    """Require a known NDT version and congestion-control algorithm."""
+    if protocol not in ("ndt5", "ndt7"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if cca not in ("reno", "cubic", "bbr"):
+        raise ValueError(f"unknown cca {cca!r}")
+
+
 @dataclass(frozen=True)
 class NdtMeasurement:
     """One NDT download test result with its client context."""
@@ -71,18 +124,9 @@ class NdtMeasurement:
     loss_rate: float
 
     def __post_init__(self) -> None:
-        if self.tput_mbps <= 0:
-            raise ValueError(f"tput_mbps must be positive, got {self.tput_mbps}")
-        if self.min_rtt_ms <= 0:
-            raise ValueError(f"min_rtt_ms must be positive, got {self.min_rtt_ms}")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
-        if (self.city is None) != (self.oblast is None):
-            raise ValueError("city and oblast labels must be both set or both None")
-        if self.protocol not in ("ndt5", "ndt7"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.cca not in ("reno", "cubic", "bbr"):
-            raise ValueError(f"unknown cca {self.cca!r}")
+        check_metrics(self.tput_mbps, self.min_rtt_ms, self.loss_rate)
+        check_geo_labels(self.city, self.oblast)
+        check_protocol(self.protocol, self.cca)
 
     def to_row(self) -> Dict[str, object]:
         """Flatten into a row matching :data:`NDT_SCHEMA`."""

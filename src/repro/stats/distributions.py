@@ -17,6 +17,7 @@ from repro.util.errors import NumericsError
 from repro.util.validation import check_fraction, check_positive
 
 __all__ = [
+    "beta_params_from_mean",
     "lognormal_params_from_moments",
     "sample_beta_loss",
     "sample_lognormal_mean_std",
@@ -34,6 +35,18 @@ def lognormal_params_from_moments(mean: float, std: float) -> Tuple[float, float
     sigma2 = math.log1p((std / mean) ** 2)
     mu = math.log(mean) - sigma2 / 2.0
     return mu, math.sqrt(sigma2)
+
+
+def beta_params_from_mean(mean: float, concentration: float) -> Tuple[float, float]:
+    """(alpha, beta) of a beta distribution with the given mean.
+
+    ``concentration`` is alpha + beta.  ``mean`` must lie strictly inside
+    (0, 1); the degenerate ends have no beta shape.
+    """
+    check_positive("concentration", concentration)
+    if not 0.0 < mean < 1.0:
+        raise ValueError(f"mean must be in (0, 1), got {mean!r}")
+    return mean * concentration, (1.0 - mean) * concentration
 
 
 def sample_lognormal_mean_std(
@@ -89,6 +102,5 @@ def sample_beta_loss(
         return np.zeros(size)
     if mean >= 1.0:  # validated to [0, 1]; >= keeps the boundary exact
         return np.ones(size)
-    alpha = mean * concentration
-    beta = (1.0 - mean) * concentration
+    alpha, beta = beta_params_from_mean(mean, concentration)
     return rng.beta(alpha, beta, size)

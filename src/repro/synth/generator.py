@@ -18,6 +18,20 @@ Per-test flow:
    added, and the bulk-transfer model draws (tput, minRTT, loss);
 5. the geo database (with its missing/mislabeled blocks) labels the client;
    the scamper sidecar emits the traceroute record.
+
+What is drawn per test, and in what order, is the contract that keeps a
+seed's tables byte-identical: the client, a new client's site and the
+traceroute jitter on ``tests-{year}``, the RTT, loss and throughput on
+``tcp``, and the protocol on ``protocol``.  Everything else is resolved
+once per key and looked up: metric parameters per (city, AS, ramp,
+drifted), route conditions per (route, day), geo labels per client,
+dotted-quad strings per address, protocol labels per (version, CCA) and
+``as_path`` strings per hop-AS sequence.  Below the generator, their
+owners memoize routes per (pair, routing epoch), edge severity per (city,
+day) and link quality per (link, day).  Each test appends one value to every column list of both tables;
+the row checks of :class:`~repro.ndt.measurement.NdtMeasurement` run where
+their values are decided (labels per client, protocol per pair, metrics
+once over the finished columns).
 """
 
 from __future__ import annotations
@@ -34,9 +48,15 @@ from repro.geo.geodb import GeoDatabase
 from repro.mlab.loadbalancer import LoadBalancer
 from repro.mlab.sites import Site, SiteRegistry
 from repro.ndt.clientpool import ClientPool
-from repro.ndt.measurement import NDT_SCHEMA, NdtMeasurement
-from repro.ndt.protocol import ProtocolModel
+from repro.ndt.measurement import (
+    NDT_SCHEMA,
+    check_geo_labels,
+    check_metric_columns,
+    check_protocol,
+)
+from repro.ndt.protocol import Cca, NdtVersion, ProtocolModel
 from repro.ndt.tcpmodel import BulkTransferModel, MetricParams, PathConditions
+from repro.netbase.ipaddr import IPv4Address
 from repro.synth.calibration import (
     AsCalibration,
     Calibration,
@@ -79,6 +99,14 @@ _LINK_LOSS_PENALTY = 0.02
 _OUTAGE_TPUT_FACTOR = 0.55
 #: Ramp clip: day severity may exceed the wartime average by this factor.
 _RAMP_CAP = 1.25
+
+
+class _DottedQuads(dict):
+    """Address value -> dotted-quad string, formatted once per address."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = IPv4Address(value).dotted()
+        return text
 
 
 @dataclass(frozen=True)
@@ -393,6 +421,28 @@ class DatasetGenerator:
                 loss_mean=min(0.9, params.loss_mean * f_loss),
             )
 
+        def metric_params(
+            city: str, asn: int, ramp: float, drifted: bool
+        ) -> MetricParams:
+            as_cal = self.calibration.asys(asn)
+            if as_cal is not None:
+                params = self._interpolate(
+                    self._scale_moments(as_cal.prewar, city_factors[(city, "prewar")]),
+                    self._scale_moments(as_cal.wartime, city_factors[(city, "wartime")]),
+                    ramp,
+                )
+            else:
+                city_cal = self.calibration.city(city)
+                params = self._interpolate(city_cal.prewar, city_cal.wartime, ramp)
+            if drifted:
+                key = ("as", asn) if as_cal is not None else ("city", city)
+                params = apply_drift(params, key)
+            return params
+
+        # A cell's parameters are a function of (city, AS, ramp, drifted), so
+        # every cell of a pair before the war (ramp 0) shares one.
+        cell_params: Dict[Tuple[str, int, float, bool], MetricParams] = {}
+
         # Best healthy route RTT per (src, dst): the baseline that detours
         # are measured against.
         best_rtt_cache: Dict[Tuple[int, int], float] = {}
@@ -444,12 +494,48 @@ class DatasetGenerator:
             for e in intensity.events_of_kind(EventKind.OUTAGE)
         }
 
+        # Values that depend only on a key the run has already seen are
+        # resolved once per key, for this run only: address value -> dotted
+        # quad (clients, servers, routers), client -> geo labels, (version,
+        # CCA) -> protocol labels, hop ASes -> ``as_path`` string.
+        dotted = _DottedQuads()
+        geo_labels: Dict[int, Tuple[Optional[str], Optional[str]]] = {}
+        protocol_labels: Dict[Tuple[NdtVersion, Cca], Tuple[str, str]] = {}
+        as_path_keys: Dict[Tuple[int, ...], str] = {}
+
+        def client_geo_labels(client_ip: IPv4Address) -> Tuple[Optional[str], Optional[str]]:
+            label = geodb.lookup(client_ip)
+            labels = (label.city, label.oblast) if label else (None, None)
+            check_geo_labels(*labels)
+            return labels
+
         # Columnar accumulation: one list per schema column, appended in
-        # lockstep, handed to Table.from_dict at the end (no row-dict pivot).
+        # lockstep, handed to Table.from_dict at the end.  Every routable
+        # test is one row of each table, in the same order, so the columns
+        # the two tables share are one list each.
         ndt_data: Dict[str, List[object]] = {n: [] for n in NDT_SCHEMA.names}
-        trace_data: Dict[str, List[object]] = {n: [] for n in TRACE_SCHEMA.names}
-        ndt_stores = [(n, ndt_data[n]) for n in NDT_SCHEMA.names]
-        trace_stores = [(n, trace_data[n]) for n in TRACE_SCHEMA.names]
+        trace_data: Dict[str, List[object]] = {
+            n: ndt_data[n] if n in ndt_data else [] for n in TRACE_SCHEMA.names
+        }
+        add_test_id = ndt_data[Cols.TEST_ID].append
+        add_day = ndt_data[Cols.DAY].append
+        add_date = ndt_data[Cols.DATE].append
+        add_year = ndt_data[Cols.YEAR].append
+        add_city = ndt_data[Cols.CITY].append
+        add_oblast = ndt_data[Cols.OBLAST].append
+        add_city_true = ndt_data[Cols.CITY_TRUE].append
+        add_asn = ndt_data[Cols.ASN].append
+        add_client_ip = ndt_data[Cols.CLIENT_IP].append
+        add_site = ndt_data[Cols.SITE].append
+        add_server_ip = ndt_data[Cols.SERVER_IP].append
+        add_protocol = ndt_data[Cols.PROTOCOL].append
+        add_cca = ndt_data[Cols.CCA].append
+        add_tput = ndt_data[Cols.TPUT].append
+        add_rtt = ndt_data[Cols.MIN_RTT].append
+        add_loss = ndt_data[Cols.LOSS_RATE].append
+        add_path = trace_data[Cols.PATH].append
+        add_as_path = trace_data[Cols.AS_PATH].append
+        add_n_hops = trace_data[Cols.N_HOPS].append
         n_unroutable = 0
         test_id = 0
 
@@ -484,6 +570,9 @@ class DatasetGenerator:
             test_rng = self._hub.stream(f"tests-{year}")
 
             for day, counts in workload.daily_counts(wl_rng):
+                day_ordinal = day.ordinal
+                date = day.iso()
+                day_year = day.date().year
                 in_war = wartime and intensity.is_wartime(day)
                 if in_war:
                     down = frozenset(
@@ -495,9 +584,10 @@ class DatasetGenerator:
                     down = frozenset()
                 tput_factor = (
                     _OUTAGE_TPUT_FACTOR
-                    if (in_war and day.ordinal in outage_days)
+                    if (in_war and day_ordinal in outage_days)
                     else 1.0
                 )
+                drifted = drifting and second_half.contains(day)
                 day_conditions: Dict[Tuple[int, ...], PathConditions] = {}
 
                 for (city, asn), n_tests in sorted(counts.items()):
@@ -505,30 +595,22 @@ class DatasetGenerator:
                     ramp = 0.0
                     if in_war and mean_war_sev[city] > 0:
                         ramp = min(_RAMP_CAP, sev / mean_war_sev[city])
-                    as_cal = self.calibration.asys(asn)
-                    if as_cal is not None:
-                        params = self._interpolate(
-                            self._scale_moments(
-                                as_cal.prewar, city_factors[(city, "prewar")]
-                            ),
-                            self._scale_moments(
-                                as_cal.wartime, city_factors[(city, "wartime")]
-                            ),
-                            ramp,
-                        )
-                    else:
-                        city_cal = self.calibration.city(city)
-                        params = self._interpolate(city_cal.prewar, city_cal.wartime, ramp)
-                    if drifting and second_half.contains(day):
-                        key = ("as", asn) if as_cal is not None else ("city", city)
-                        params = apply_drift(params, key)
+                    params_key = (city, asn, ramp, drifted)
+                    params = cell_params.get(params_key)
+                    if params is None:
+                        params = cell_params[params_key] = metric_params(*params_key)
 
+                    # Per test: the draws on tests-{year} (client, a new
+                    # client's site, traceroute jitter, in that order), on
+                    # tcp and on protocol, plus the edge-damage wobbles a
+                    # route's first look at a (city, day) draws; everything
+                    # else is a lookup.
                     for _ in range(n_tests):
                         test_id += 1
                         client_ip = pool.sample(asn, city, test_rng)
                         site: Site = balancer.assign(client_ip.value, city, test_rng)
                         path: Optional[AsPath] = router.route(
-                            asn, site.asn, day.ordinal, down
+                            asn, site.asn, day_ordinal, down
                         )
                         if path is None:
                             n_unroutable += 1
@@ -536,48 +618,66 @@ class DatasetGenerator:
                         conditions = day_conditions.get(path.asns)
                         if conditions is None:
                             conditions = day_conditions[path.asns] = route_conditions(
-                                path, day.ordinal, tput_factor
+                                path, day_ordinal, tput_factor
                             )
                         tput, rtt, loss = tcp.measure(params, conditions)
-                        label = geodb.lookup(client_ip)
-                        version, cca = protocol_model.sample(year, protocol_rng)
-                        measurement = NdtMeasurement(
-                            test_id=test_id,
-                            day=day,
-                            city=label.city if label else None,
-                            oblast=label.oblast if label else None,
-                            city_true=city,
-                            asn=asn,
-                            client_ip=client_ip.dotted(),
-                            site=site.code,
-                            server_ip=site.server_ip.dotted(),
-                            protocol=version.value,
-                            cca=cca.value,
-                            tput_mbps=tput,
-                            min_rtt_ms=rtt,
-                            loss_rate=loss,
-                        )
-                        ndt_row = measurement.to_row()
-                        for name, store in ndt_stores:
-                            store.append(ndt_row[name])
+                        labels = geo_labels.get(client_ip.value)
+                        if labels is None:
+                            labels = geo_labels[client_ip.value] = client_geo_labels(
+                                client_ip
+                            )
+                        version_cca = protocol_model.sample(year, protocol_rng)
+                        protocol = protocol_labels.get(version_cca)
+                        if protocol is None:
+                            version, cca = version_cca
+                            protocol = protocol_labels[version_cca] = (
+                                version.value,
+                                cca.value,
+                            )
+                            check_protocol(*protocol)
                         record = sidecar.trace(
                             test_id,
                             client_ip,
                             site.server_ip,
                             path.asns,
-                            day.ordinal,
+                            day_ordinal,
                             test_rng,
                         )
-                        trace_row = record.to_row()
-                        trace_row["day"] = day.ordinal
-                        trace_row["year"] = year
-                        for name, store in trace_stores:
-                            store.append(trace_row[name])
+                        as_path = as_path_keys.get(record.hop_asns)
+                        if as_path is None:
+                            as_path = as_path_keys[record.hop_asns] = record.as_path_key
+
+                        add_test_id(test_id)
+                        add_day(day_ordinal)
+                        add_date(date)
+                        add_year(day_year)
+                        add_city(labels[0])
+                        add_oblast(labels[1])
+                        add_city_true(city)
+                        add_asn(asn)
+                        add_client_ip(dotted[client_ip.value])
+                        add_site(site.code)
+                        add_server_ip(dotted[site.server_ip.value])
+                        add_protocol(protocol[0])
+                        add_cca(protocol[1])
+                        add_tput(tput)
+                        add_rtt(rtt)
+                        add_loss(loss)
+                        # The record's path_key, from the memoized hop strings.
+                        add_path("|".join([dotted[ip.value] for ip in record.hop_ips]))
+                        add_as_path(as_path)
+                        add_n_hops(len(record.hop_ips))
 
         ndt_dtypes = {f.name: f.dtype for f in NDT_SCHEMA.fields}
         trace_dtypes = {f.name: f.dtype for f in TRACE_SCHEMA.fields}
-        if not ndt_data["test_id"]:
+        if not ndt_data[Cols.TEST_ID]:
             raise DataError("generator produced no routable tests")
+        check_metric_columns(
+            ndt_data[Cols.TEST_ID],
+            ndt_data[Cols.TPUT],
+            ndt_data[Cols.MIN_RTT],
+            ndt_data[Cols.LOSS_RATE],
+        )
         return Dataset(
             ndt=Table.from_dict(ndt_data, ndt_dtypes),
             traces=Table.from_dict(trace_data, trace_dtypes),

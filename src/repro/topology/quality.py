@@ -83,17 +83,24 @@ class LinkQualityModel:
             if sched.link_key in self._schedules:
                 raise ValueError(f"duplicate schedule for link {sched.link_key}")
             self._schedules[sched.link_key] = sched
+        # A quality reads only the link's key and city and the day.
+        self._qualities: Dict[Tuple[LinkKey, Optional[str], int], float] = {}
 
     def quality(self, link: Link, day_ordinal: int) -> float:
         """Quality of ``link`` on the given day, clamped to [floor, 1]."""
-        quality = 1.0
-        sched = self._schedules.get(link.key)
-        if sched is not None:
-            quality = sched.quality_on(day_ordinal)
-        if link.city is not None and self._edge_damage is not None:
-            severity = self._edge_damage.severity(link.city, Day(day_ordinal))
-            quality *= 1.0 - self._city_weight * severity
-        return max(_QUALITY_FLOOR, quality)
+        link_key = link.key
+        key = (link_key, link.city, day_ordinal)
+        quality = self._qualities.get(key)
+        if quality is None:
+            quality = 1.0
+            sched = self._schedules.get(link_key)
+            if sched is not None:
+                quality = sched.quality_on(day_ordinal)
+            if link.city is not None and self._edge_damage is not None:
+                severity = self._edge_damage.severity(link.city, Day(day_ordinal))
+                quality *= 1.0 - self._city_weight * severity
+            quality = self._qualities[key] = max(_QUALITY_FLOOR, quality)
+        return quality
 
     def has_schedule(self, link_key: LinkKey) -> bool:
         return link_key in self._schedules

@@ -58,6 +58,11 @@ class TracerouteRecord:
         return tuple(out)
 
     @property
+    def as_path_key(self) -> str:
+        """The deduplicated AS path, pipe-joined (the ``as_path`` column)."""
+        return "|".join(str(a) for a in self.as_path)
+
+    @property
     def n_hops(self) -> int:
         return len(self.hop_ips)
 
@@ -68,7 +73,7 @@ class TracerouteRecord:
             "client_ip": self.client_ip.dotted(),
             "server_ip": self.server_ip.dotted(),
             "path": self.path_key,
-            "as_path": "|".join(str(a) for a in self.as_path),
+            "as_path": self.as_path_key,
             "n_hops": self.n_hops,
         }
 

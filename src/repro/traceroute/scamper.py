@@ -76,6 +76,11 @@ class ScamperSidecar:
         self._offsets: Dict[Tuple[int, int, int], int] = {}
         self._routers: Dict[Tuple[int, int, int, int], IPv4Address] = {}
         self._gateways: Dict[Tuple[int, Optional[str], int], IPv4Address] = {}
+        # Client address value -> ground-truth city, for this sidecar's life
+        # (one generated year).  Not kept on the IP layer, where
+        # ``allocate_client_block`` can still add a block that would make a
+        # stored None stale.
+        self._client_cities: Dict[int, Optional[str]] = {}
 
     def _epoch(self, asn: int, prev_asn: int, next_asn: int, day_ordinal: int) -> int:
         """The adjacency's routing epoch on a day.
@@ -174,7 +179,12 @@ class ScamperSidecar:
         # The client AS also shows the last-mile gateway before the client.
         client_asn = path[-1]
         gateway_slot = slot_for(client_asn, client_asn, -1, len(path))
-        client_city = self._topology.iplayer.city_of_client_ip(client_ip)
+        if client_ip.value in self._client_cities:
+            client_city = self._client_cities[client_ip.value]
+        else:
+            client_city = self._client_cities[client_ip.value] = (
+                self._topology.iplayer.city_of_client_ip(client_ip)
+            )
         hop_ips.append(self._gateway(client_asn, client_city, gateway_slot))
         hop_asns.append(client_asn)
         hop_ips.append(client_ip)

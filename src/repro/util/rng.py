@@ -12,10 +12,11 @@ avoids that by deriving an independent generator per *name*: the stream for
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
-__all__ = ["RngHub"]
+__all__ = ["RngHub", "choice_cdf"]
 
 
 class RngHub:
@@ -85,3 +86,28 @@ class RngHub:
 
     def __repr__(self) -> str:
         return f"RngHub(seed={self._seed}, streams={sorted(self._streams)})"
+
+
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(len(probs), p=probs)`` searches.
+
+    ``choice`` checks ``probs`` and builds this CDF on every call, then
+    returns ``cdf.searchsorted(rng.random(), side="right")``.  A caller that
+    draws many times from fixed weights runs the same checks and builds
+    the CDF once, then searches it with one ``rng.random()`` per draw: the
+    same index from the same draw.
+    """
+    if probs.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if probs.size == 0:
+        raise ValueError("a must be a positive integer unless no samples are taken")
+    total = math.fsum(probs)
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf

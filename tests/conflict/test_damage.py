@@ -49,6 +49,18 @@ class TestEdgeDamage:
         b = model.severity("Kyiv", "2022-03-01")
         assert a == b
 
+    def test_wobble_drawn_once_per_war_city_day(self, intensity):
+        """Repeat calls draw nothing; zero-intensity days never draw."""
+        rng, reference = RngHub(3).stream("edge"), RngHub(3).stream("edge")
+        model = EdgeDamageModel(intensity, rng)
+        calls = [("Kyiv", "2022-01-15"), ("Kyiv", "2022-03-01"),
+                 ("Kharkiv", "2022-03-01"), ("Kyiv", "2022-03-01"),
+                 ("Kyiv", "2022-01-15"), ("Kharkiv", "2022-03-01")]
+        for city, day in calls:
+            model.severity(city, day)
+        reference.uniform(size=2)  # one draw per distinct wartime city-day
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_deterministic_across_instances(self, intensity):
         a = EdgeDamageModel(intensity, RngHub(7).stream("edge"))
         b = EdgeDamageModel(intensity, RngHub(7).stream("edge"))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.geo.distance import haversine_km
 from repro.mlab import LoadBalancer, SiteRegistry
 from repro.topology import build_default_topology
 
@@ -59,6 +60,26 @@ class TestAssign:
         picks = [lb.assign(i, "Kyiv", rng).code for i in range(500)]
         nearest = lb.nearest_site("Kyiv").code
         assert picks.count(nearest) / len(picks) > 0.5
+
+    def test_same_draws_as_weighted_choice(self, topo, sites):
+        """A new client's site is the index ``choice(p=...)`` picks, from one
+        ``random()``; a returning client draws nothing."""
+        lb = make_lb(topo, sites)
+        ranked = lb._city_choices("Kharkiv")[0]
+        city = topo.gazetteer.city("Kharkiv")
+        dists = np.array([haversine_km(city.lat, city.lon, s.lat, s.lon) for s in ranked])
+        weights = 1.0 / np.maximum(dists, 1.0) ** 4
+        probs = weights / weights.sum()
+        ra, rb = np.random.default_rng(11), np.random.default_rng(11)
+        picked = []
+        for client in range(2000):
+            expected = ranked[int(rb.choice(len(ranked), p=probs))]
+            picked.append(lb.assign(client, "Kharkiv", ra))
+            assert picked[-1] is expected
+        assert len({site.code for site in picked}) > 1
+        for client in range(2000):
+            assert lb.assign(client, "Kharkiv", ra) is picked[client]
+        assert ra.random() == rb.random()
 
     def test_n_assigned_clients(self, topo, sites):
         lb = make_lb(topo, sites)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ndt import NDT_SCHEMA, NdtMeasurement
+from repro.ndt.measurement import check_metric_columns
 from repro.tables import Table
 from repro.util import Day
 
@@ -67,3 +68,12 @@ class TestValidation:
             make(city="Kyiv", oblast=None)
         with pytest.raises(ValueError):
             make(city=None, oblast="Kiev City")
+
+    def test_metric_columns_name_first_bad_test(self):
+        check_metric_columns([1, 2], [5.0, 6.0], [10.0, 11.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="test 3: min_rtt_ms"):
+            check_metric_columns(
+                [1, 3, 4], [5.0, 6.0, -1.0], [10.0, 0.0, 1.0], [0.1, 0.2, 0.3]
+            )
+        with pytest.raises(ValueError, match="test 9: loss_rate"):
+            check_metric_columns([8, 9], [5.0, 6.0], [1.0, 1.0], [0.5, float("nan")])

@@ -1,9 +1,15 @@
 """Tests for the bulk-transfer metric model."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ndt import BulkTransferModel, MetricParams, PathConditions
+from repro.ndt.tcpmodel import clamp_loss
+from repro.stats.distributions import lognormal_params_from_moments
 
 
 def kyiv_prewar():
@@ -100,3 +106,89 @@ class TestValidation:
             PathConditions(tput_factor=0.0)
         with pytest.raises(ValueError):
             PathConditions(tput_factor=1.5)
+
+
+def measure_reference(rng, params, conditions):
+    """The per-test draw as first written: moments and beta shape per call."""
+    rtt_mu, rtt_sigma = lognormal_params_from_moments(
+        params.rtt_mean_ms, params.rtt_std_ms
+    )
+    min_rtt = rng.lognormal(rtt_mu, rtt_sigma) + conditions.extra_rtt_ms
+    min_rtt = max(0.1, min_rtt)
+    if params.loss_mean > 0:
+        alpha = params.loss_mean * 3.0
+        beta = (1.0 - params.loss_mean) * 3.0
+        base_loss = rng.beta(alpha, beta, 1)[0]
+    else:
+        base_loss = 0.0
+    loss = float(np.clip(base_loss + conditions.extra_loss, 0.0, 1.0))
+    tput_mu, tput_sigma = lognormal_params_from_moments(
+        params.tput_mean_mbps, params.tput_std_mbps
+    )
+    tput = rng.lognormal(tput_mu, tput_sigma)
+    tput *= conditions.tput_factor
+    tput /= 1.0 + 4.0 * conditions.extra_loss
+    tput = max(0.01, tput)
+    return float(tput), float(min_rtt), loss
+
+
+def bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+positive = st.floats(min_value=1e-3, max_value=1e4)
+metric_params = st.builds(
+    MetricParams,
+    tput_mean_mbps=positive,
+    tput_std_mbps=positive,
+    rtt_mean_ms=positive,
+    rtt_std_ms=positive,
+    loss_mean=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.999)),
+)
+path_conditions = st.builds(
+    PathConditions,
+    extra_rtt_ms=st.floats(min_value=0.0, max_value=500.0),
+    extra_loss=st.one_of(
+        st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)
+    ),
+    tput_factor=st.floats(min_value=1e-3, max_value=1.0),
+)
+
+
+class TestSameDrawsAsReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        tests=st.lists(st.tuples(metric_params, path_conditions), min_size=1, max_size=6),
+    )
+    def test_bitwise_equal_and_same_stream_state(self, seed, tests):
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        model = BulkTransferModel(ra)
+        for params, conditions in tests:
+            got = model.measure(params, conditions)
+            assert all(type(v) is float for v in got)
+            assert bits(got) == bits(measure_reference(rb, params, conditions))
+        assert ra.bit_generator.state == rb.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            float("nan"),
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            2.2250738585072009e-308,
+            0.5,
+            1.0,
+            float(np.nextafter(1.0, 2.0)),
+            1.5,
+            -1.5,
+            float("inf"),
+            float("-inf"),
+        ],
+    )
+    def test_loss_clamp_is_np_clip_bitwise(self, x):
+        got = clamp_loss(x)
+        assert type(got) is float
+        assert bits([got]) == bits([float(np.clip(x, 0.0, 1.0))])

@@ -4,8 +4,10 @@
 change that alters every run alike passes it.  These constants pin the
 lineage fingerprints (:func:`repro.obs.lineage.fingerprint_table`: column
 names, order and every cell) of the default seed at scale 0.02, so any
-change to a single generated value fails here.  Caches and other pure
-speed-ups must leave them alone.
+change to a single generated value fails here.  ``BRANCHES`` pins the same
+outputs for another seed and for each ablation switch, which take code
+paths the default run does not (no war, no rerouting, uniform damage, no
+2021 baseline).  Caches and other pure speed-ups must leave them alone.
 
 Re-baselining on purpose -- a change that is meant to alter the data, such
 as a new RNG draw order or a new model term -- goes like this: print the new
@@ -19,7 +21,8 @@ values with::
     print(fp(ds.ndt)['fingerprint'], fp(ds.traces)['fingerprint'],
           fp(daily_route_churn(ds))['fingerprint'])"
 
-paste them below, and regenerate the committed ``results/`` in the same
+paste them below (``BRANCHES`` the same way, with each configuration's
+overrides), and regenerate the committed ``results/`` in the same
 change, saying so in its description.
 """
 
@@ -40,6 +43,56 @@ PINNED = {
 }
 PINNED_UNROUTABLE = 36
 
+#: Per branch: the config overrides, (fingerprint, rows) per output, and
+#: the unroutable count.
+BRANCHES = {
+    "seed_1": (
+        {"seed": 1},
+        {
+            "ndt": ("070f2a4e3131c094", 2130),
+            "traces": ("38d9ea826a03a88a", 2130),
+            "churn": ("d382d5c886fbe4e6", 107),
+        },
+        26,
+    ),
+    "no_war": (
+        {"war_enabled": False},
+        {
+            "ndt": ("31b652433dbf20e9", 2153),
+            "traces": ("ad7241dba20e96b1", 2153),
+            "churn": ("af0a61f08c569623", 107),
+        },
+        0,
+    ),
+    "no_rerouting": (
+        {"rerouting_enabled": False},
+        {
+            "ndt": ("bc9cf9e36d5ad9ec", 2177),
+            "traces": ("5587702e9ae0444b", 2177),
+            "churn": ("af0a61f08c569623", 107),
+        },
+        0,
+    ),
+    "uniform_damage": (
+        {"regional_damage": False},
+        {
+            "ndt": ("e740f80f6bbceef5", 2153),
+            "traces": ("90d9ca53273ac643", 2153),
+            "churn": ("245b1fc6e0d3582c", 107),
+        },
+        24,
+    ),
+    "no_2021": (
+        {"include_2021": False},
+        {
+            "ndt": ("0cc6d7bb88e7e21e", 1360),
+            "traces": ("f49e4603d7235e8d", 1360),
+            "churn": ("34c028aa8a3c4c8f", 107),
+        },
+        36,
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -59,3 +112,17 @@ def test_unroutable_count_pinned(dataset):
 def test_route_churn_pinned(dataset):
     fp = fingerprint_table(daily_route_churn(dataset))
     assert (fp["fingerprint"], fp["n_rows"]) == PINNED["churn"]
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_branch_pinned(branch):
+    overrides, pinned, unroutable = BRANCHES[branch]
+    config = GeneratorConfig(**{"seed": SEED, "scale": SCALE, **overrides})
+    ds = DatasetGenerator(config).generate()
+    outputs = {"ndt": ds.ndt, "traces": ds.traces, "churn": daily_route_churn(ds)}
+    got = {}
+    for name, table in outputs.items():
+        fp = fingerprint_table(table)
+        got[name] = (fp["fingerprint"], fp["n_rows"])
+    assert got == pinned
+    assert ds.n_unroutable == unroutable

@@ -105,3 +105,22 @@ class TestLinkQualityModel:
         model = LinkQualityModel(edge_damage, [sched])
         assert model.has_schedule((1, 2))
         assert not model.has_schedule((3, 4))
+
+    def test_resolved_once_per_link_city_and_day(self):
+        class CountingDamage:
+            calls = 0
+
+            def severity(self, city, day):
+                CountingDamage.calls += 1
+                return 0.5
+
+        model = LinkQualityModel(CountingDamage())
+        kyiv = make_link(1, 2, city="Kyiv")
+        day = Day.of("2022-03-15").ordinal
+        first = model.quality(kyiv, day)
+        assert model.quality(kyiv, day) == first == pytest.approx(0.7)
+        assert CountingDamage.calls == 1
+        # Same key, other city: a different value, so a different entry.
+        model.quality(make_link(1, 2, city="Lviv"), day)
+        model.quality(kyiv, day + 1)
+        assert CountingDamage.calls == 3

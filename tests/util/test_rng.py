@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util import RngHub
+from repro.util.rng import choice_cdf
 
 
 def test_same_seed_same_stream():
@@ -96,3 +97,34 @@ def test_repr_lists_streams():
     hub.stream("b")
     hub.stream("a")
     assert "['a', 'b']" in repr(hub)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0], [3.0, 1.0], [0.0, 2.0, 0.0, 5.0], list(np.arange(1, 301) ** -1.2)],
+)
+def test_choice_cdf_searches_to_the_index_choice_picks(weights):
+    probs = np.asarray(weights) / np.sum(weights)
+    cdf = choice_cdf(probs)
+    ra, rb = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(500):
+        got = int(cdf.searchsorted(ra.random(), side="right"))
+        assert got == int(rb.choice(len(probs), p=probs))
+    assert ra.bit_generator.state == rb.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        np.array([]),
+        np.array([[0.5, 0.5]]),
+        np.array([0.5, np.nan]),
+        np.array([1.5, -0.5]),
+        np.array([0.5, 0.4]),
+    ],
+)
+def test_choice_cdf_rejects_what_choice_rejects(probs):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(max(len(probs), 1), p=probs)
+    with pytest.raises(ValueError):
+        choice_cdf(probs)
