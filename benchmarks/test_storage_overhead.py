@@ -165,7 +165,7 @@ class TestStorageOverhead:
         committed_s, _ = timed(
             lambda: write_csv(table, path),
             repeat=3,
-            name="storage.csv_write_committed",
+            name="storage.csv_write_end_to_end_committed",
             rows=N_ROWS,
         )
         results["csv_write_end_to_end"] = {
@@ -209,7 +209,7 @@ class TestStorageOverhead:
         registry = session_registry()
         e2e = results["csv_write_end_to_end"]
         registry.record(
-            "storage.csv_write_committed", e2e["committed_s"], rows=e2e["rows"]
+            "storage.csv_write_end_to_end_committed", e2e["committed_s"], rows=e2e["rows"]
         )
         lines = [
             f"csv persist ({row['rows']} rows, {row['bytes'] / 1e6:.1f} MB): "

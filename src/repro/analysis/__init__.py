@@ -29,12 +29,12 @@ none reads the calibration targets.
 from repro.analysis.common import (
     METRICS,
     client_as_column,
-    parse_as_path,
     slice_period,
     slice_year,
     with_periods,
 )
 from repro.analysis.periods import PERIOD_NAMES, study_periods
+from repro.traceroute.pathrecord import parse_as_path
 
 __all__ = [
     "METRICS",

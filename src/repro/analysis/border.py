@@ -9,31 +9,18 @@ Cogent shows up.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.analysis.common import clean_traces, parse_as_path, slice_period
+from repro.analysis.common import clean_traces, slice_period
 from repro.netbase.asn import ASRegistry
 from repro.tables.schema import DType
 from repro.tables.table import Table
+from repro.traceroute.pathrecord import border_crossing, parse_as_path
 from repro.util.errors import AnalysisError
 
 __all__ = ["border_crossing_counts", "border_shift_matrix", "border_totals"]
-
-
-def _crossing(
-    as_path: Tuple[int, ...], registry: ASRegistry
-) -> Optional[Tuple[int, int]]:
-    """First (foreign, Ukrainian) adjacency, or None."""
-    for left, right in zip(as_path, as_path[1:]):
-        left_as = registry.maybe_get(left)
-        right_as = registry.maybe_get(right)
-        if left_as is None or right_as is None:
-            return None
-        if not left_as.is_ukrainian and right_as.is_ukrainian:
-            return (left, right)
-    return None
 
 
 def border_crossing_counts(traces: Table, registry: ASRegistry) -> Table:
@@ -45,18 +32,16 @@ def border_crossing_counts(traces: Table, registry: ASRegistry) -> Table:
     traces = clean_traces(traces, "border_crossing_counts")
     counts: Dict[Tuple[int, int], Dict[str, int]] = {}
     for period in ("prewar", "wartime"):
-        sliced = slice_period(traces, period)
         # Crossings depend only on the AS path: count tests per distinct
         # path over the dictionary codes, resolve each pool entry once.
-        as_col = sliced.column("as_path")
+        as_col = slice_period(traces, period).column("as_path")
         codes = as_col.codes
         per_path = np.bincount(codes[codes >= 0], minlength=len(as_col.pool))
         for ci in np.nonzero(per_path)[0]:
-            crossing = _crossing(parse_as_path(as_col.pool[ci]), registry)
-            if crossing is None:
-                continue
-            entry = counts.setdefault(crossing, {"prewar": 0, "wartime": 0})
-            entry[period] += int(per_path[ci])
+            crossing = border_crossing(parse_as_path(as_col.pool[ci]), registry)
+            if crossing is not None:
+                entry = counts.setdefault(crossing, {"prewar": 0, "wartime": 0})
+                entry[period] += int(per_path[ci])
     if not counts:
         raise AnalysisError("no border crossings found in the traces")
     rows = []

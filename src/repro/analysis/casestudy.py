@@ -10,31 +10,33 @@ the tests entering through each.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.analysis.common import clean_ndt, clean_traces, parse_as_path
+from repro.analysis.common import clean_ndt, clean_traces
 from repro.netbase.asn import ASRegistry
 from repro.tables.expr import col
 from repro.tables.join import join
 from repro.tables.schema import Cols, DType
 from repro.tables.table import Table
+from repro.traceroute.pathrecord import parse_as_path
 from repro.util.errors import AnalysisError
 from repro.util.timeutil import Day
 
 __all__ = ["inbound_weekly"]
 
 
-def _entry_border(path: Tuple[int, ...], ua_asn: int, registry: ASRegistry) -> Optional[int]:
-    """The foreign AS immediately before ``ua_asn`` on the path, if any."""
+def _entry_border(as_path: str, ua_asn: int, registry: ASRegistry) -> int:
+    """The foreign AS immediately before ``ua_asn`` on the path, or -1."""
+    path = parse_as_path(as_path)
     for left, right in zip(path, path[1:]):
         if right != ua_asn:
             continue
         left_as = registry.maybe_get(left)
         if left_as is not None and not left_as.is_ukrainian:
             return left
-    return None
+    return -1
 
 
 def inbound_weekly(
@@ -61,15 +63,11 @@ def inbound_weekly(
     if merged.n_rows == 0:
         raise AnalysisError(f"no joined tests in {year}")
 
-    # Resolve each distinct AS path once (over the dictionary pool), then
-    # broadcast to rows through the codes.
-    as_col = merged.column("as_path")
-    border_lut = np.full(len(as_col.pool) + 1, -1, dtype=np.int64)
-    for ci, text in enumerate(as_col.pool):
-        border = _entry_border(parse_as_path(text), ua_asn, registry)
-        if border is not None:
-            border_lut[ci] = border
-    borders = border_lut[as_col.codes]
+    # The entry border depends only on the AS path: resolve it once per
+    # distinct path (Column.map), broadcast to rows through the codes.
+    borders = merged.column("as_path").map(
+        lambda text: _entry_border(text, ua_asn, registry), DType.INT
+    ).values
 
     # Week starts once per distinct day.
     days = merged.column("day").values.astype(np.int64)

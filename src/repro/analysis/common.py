@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -13,7 +13,9 @@ from repro.tables.column import Column
 from repro.tables.expr import col
 from repro.tables.schema import Cols, DType
 from repro.tables.table import Table
+from repro.tables.validate import Rule, in_range, non_empty, positive, unique, within
 from repro.topology.iplayer import IpLayer
+from repro.traceroute.pathrecord import hop_count
 from repro.util.errors import AnalysisError
 from repro.util.timeutil import Period
 
@@ -22,11 +24,12 @@ __all__ = [
     "clean_ndt",
     "clean_traces",
     "client_as_column",
-    "parse_as_path",
+    "ndt_rules",
     "period_predicate",
     "require_columns",
     "slice_period",
     "slice_year",
+    "trace_rules",
     "with_periods",
     "year_predicate",
 ]
@@ -49,19 +52,60 @@ def require_columns(table: Table, names, where: str) -> None:
         )
 
 
-def _window_mask(days: np.ndarray) -> np.ndarray:
-    ok = np.zeros(len(days), dtype=bool)
-    for p in study_periods().values():
-        ok |= (days >= p.start.ordinal) & (days <= p.end.ordinal)
-    return ok
+def _in_study_windows() -> Rule:
+    """Timestamps must fall inside a study window (clock skew otherwise)."""
+    return within(
+        Cols.DAY,
+        [(p.start.ordinal, p.end.ordinal) for p in study_periods().values()],
+    )
 
 
-def _first_occurrence_mask(values: np.ndarray) -> np.ndarray:
-    """True at the first appearance of each value (duplicate-UUID dedup)."""
-    _, first_index = np.unique(values, return_index=True)
-    keep = np.zeros(len(values), dtype=bool)
-    keep[first_index] = True
-    return keep
+def _hop_count_mismatch(traces: Table) -> np.ndarray:
+    """Rows whose ``n_hops`` is not the hop count of their ``path``."""
+    # one count per distinct path, broadcast through the dictionary codes
+    hops = traces.column(Cols.PATH).map(hop_count, DType.INT).values
+    return traces.column(Cols.N_HOPS).values != hops
+
+
+def ndt_rules() -> List[Rule]:
+    """NDT row validity: the ingest gate quarantines and :func:`clean_ndt` drops by it."""
+    return [
+        positive(Cols.TPUT),
+        positive(Cols.MIN_RTT),
+        in_range(Cols.LOSS_RATE, 0.0, 1.0),
+        _in_study_windows(),
+        unique(Cols.TEST_ID),
+    ]
+
+
+def trace_rules() -> List[Rule]:
+    """Trace row validity, shared like :func:`ndt_rules`.
+
+    Truncated scamper output leaves ``n_hops`` stale against its hop list.
+    """
+    return [
+        Rule("n_hops:!=len(path)", (Cols.N_HOPS, Cols.PATH), _hop_count_mismatch),
+        non_empty(Cols.PATH),
+        non_empty(Cols.AS_PATH),
+        _in_study_windows(),
+        unique(Cols.TEST_ID),
+    ]
+
+
+def _drop_invalid(table: Table, rules: List[Rule], where: str, what: str) -> Table:
+    """``table`` without the rows breaking any rule; itself when all pass."""
+    require_columns(
+        table, list(dict.fromkeys(c for rule in rules for c in rule.columns)), where
+    )
+    bad = np.zeros(table.n_rows, dtype=bool)
+    for rule in rules:
+        bad |= rule.bad_mask(table)
+    if not bad.any():
+        return table
+    out = table.filter(~bad)
+    if out.n_rows == 0:
+        raise AnalysisError(f"{where}: no usable {what}")
+    return out
 
 
 def clean_ndt(ndt: Table, where: str = "analysis") -> Table:
@@ -70,64 +114,17 @@ def clean_ndt(ndt: Table, where: str = "analysis") -> Table:
     Real extracts carry NULL/negative metrics and clock-skewed timestamps.
     Every analysis entry point funnels its input through this guard so dirty
     rows are dropped up front — never propagated as silent NaN and never
-    crashed on with an untyped IndexError/KeyError.  Clean tables pass
-    through unchanged (same rows, same order), so results on clean data are
-    identical with or without the guard.
+    crashed on with an untyped IndexError/KeyError.  Clean tables come back
+    as the same object, so results on clean data are unchanged by the guard.
     """
-    require_columns(
-        ndt, ("test_id", "day", Cols.TPUT, Cols.MIN_RTT, Cols.LOSS_RATE), where
-    )
-    tput = ndt.column(Cols.TPUT).values
-    rtt = ndt.column(Cols.MIN_RTT).values
-    loss = ndt.column(Cols.LOSS_RATE).values
-    days = ndt.column("day").values
-    keep = (
-        np.isfinite(tput) & (tput > 0)
-        & np.isfinite(rtt) & (rtt > 0)
-        & np.isfinite(loss) & (loss >= 0.0) & (loss <= 1.0)
-        & _window_mask(days)
-        & _first_occurrence_mask(ndt.column("test_id").values)
-    )
-    if keep.all():
-        return ndt
-    out = ndt.filter(keep)
-    if out.n_rows == 0:
-        raise AnalysisError(f"{where}: no usable NDT rows after dropping dirty data")
-    return out
+    return _drop_invalid(ndt, ndt_rules(), where, "NDT rows after dropping dirty data")
 
 
 def clean_traces(traces: Table, where: str = "analysis") -> Table:
-    """Drop traceroute rows with truncated/impossible records.
-
-    A usable trace has a non-empty hop list whose length matches ``n_hops``
-    (truncated scamper output leaves them inconsistent), a non-empty AS
-    path, and a timestamp inside a study window.
-    """
-    require_columns(traces, ("test_id", "day", "path", "as_path", "n_hops"), where)
-    path_col = traces.column("path")
-    as_col = traces.column("as_path")
-    n_hops = traces.column("n_hops").values
-    days = traces.column("day").values
-    # hop counts and emptiness are computed once per distinct string in the
-    # dictionary pool, then broadcast through the codes (None -> last slot)
-    pool_len = np.zeros(len(path_col.pool) + 1, dtype=np.int64)
-    for i, p in enumerate(path_col.pool):
-        pool_len[i] = len(p.split("|")) if p else 0
-    lengths = pool_len[path_col.codes]
-    pool_has = np.zeros(len(as_col.pool) + 1, dtype=bool)
-    for i, a in enumerate(as_col.pool):
-        pool_has[i] = bool(a)
-    has_as = pool_has[as_col.codes]
-    keep = (
-        (lengths > 0) & (lengths == n_hops) & has_as & _window_mask(days)
-        & _first_occurrence_mask(traces.column("test_id").values)
+    """Drop truncated/impossible trace rows (:func:`trace_rules`), as :func:`clean_ndt`."""
+    return _drop_invalid(
+        traces, trace_rules(), where, "traceroute rows after cleaning"
     )
-    if keep.all():
-        return traces
-    out = traces.filter(keep)
-    if out.n_rows == 0:
-        raise AnalysisError(f"{where}: no usable traceroute rows after cleaning")
-    return out
 
 
 def period_predicate(period_name: str):
@@ -185,33 +182,14 @@ def client_as_column(ndt: Table, iplayer: IpLayer) -> Table:
     This is the paper's routeviews-style attribution — the analysis derives
     the AS from the address, it does not trust generator metadata.
     """
-    ip_col = ndt.column("client_ip")
-    # longest-prefix match once per distinct client IP, broadcast via codes
-    lut = np.empty(len(ip_col.pool) + 1, dtype=np.int64)
-    for i, ip_text in enumerate(ip_col.pool):
-        asn = iplayer.as_of_ip(IPv4Address.parse(ip_text))
-        lut[i] = -1 if asn is None else asn
-    lut[-1] = -1
-    asns = lut[ip_col.codes]
-    out = ndt.with_column(Cols.CLIENT_ASN, Column(Cols.CLIENT_ASN, asns, DType.INT))
+
+    def asn_of(ip_text: Optional[str]) -> int:
+        asn = None if ip_text is None else iplayer.as_of_ip(IPv4Address.parse(ip_text))
+        return -1 if asn is None else asn
+
+    # longest-prefix match once per distinct client IP (Column.map)
+    out = ndt.with_column(
+        Cols.CLIENT_ASN, ndt.column(Cols.CLIENT_IP).map(asn_of, DType.INT)
+    )
     record_table_memory("analysis.ndt_with_asn", out)
     return out
-
-
-def parse_as_path(text: str) -> Tuple[int, ...]:
-    """Parse a pipe-joined AS path column value back into ASNs."""
-    if not text:
-        raise AnalysisError("empty AS path")
-    try:
-        return tuple(int(part) for part in text.split("|"))
-    except ValueError as exc:
-        raise AnalysisError(f"malformed AS path {text!r}") from exc
-
-
-def unique_as_paths(traces: Table) -> List[Tuple[int, ...]]:
-    """Distinct AS-level paths in a traceroute table."""
-    return [
-        parse_as_path(t)
-        for t in traces.column("as_path").unique()
-        if t is not None
-    ]

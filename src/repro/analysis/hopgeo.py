@@ -21,7 +21,8 @@ from repro.synth.generator import Dataset
 from repro.tables import kernels
 from repro.tables.join import join
 from repro.tables.table import Table
-from repro.util.errors import AnalysisError
+from repro.traceroute.pathrecord import parse_hops, split
+from repro.util.errors import AnalysisError, DataError
 
 __all__ = ["default_hostname_scheme", "gateway_city_agreement"]
 
@@ -35,15 +36,18 @@ def default_hostname_scheme(dataset: Dataset, **kwargs) -> HostnameScheme:
     return HostnameScheme(topo.registry, cities_of_asn, **kwargs)
 
 
-def _gateway_router_index(dataset: Dataset, path_text: str, client_asn: int) -> Optional[int]:
+def _gateway_router_index(
+    dataset: Dataset, path_text: str, client_asn: int, memo: Dict[str, int]
+) -> Optional[int]:
     """The router index of the gateway hop (second-to-last hop of the trace)."""
-    hops = path_text.split("|")
+    hops = split(path_text)
     if len(hops) < 3:
         return None
     try:
-        gateway = IPv4Address.parse(hops[-2])
-    except Exception:
+        (value,) = parse_hops(hops[-2], memo)
+    except DataError:
         return None  # unparsable hop — treat as no usable hostname signal
+    gateway = IPv4Address(value)
     iplayer = dataset.topology.iplayer
     if iplayer.as_of_ip(gateway) != client_asn:
         return None
@@ -81,9 +85,10 @@ def gateway_city_agreement(
     # distinct pair and broadcast to rows through the group ids.
     fact = kernels.factorize([merged.column("path"), merged.column("asn")])
     group_city = np.empty(fact.n_groups, dtype=object)
+    hop_memo: Dict[str, int] = {}
     for g in range(fact.n_groups):
         i = int(fact.first_idx[g])
-        index = _gateway_router_index(dataset, paths[i], int(asns[i]))
+        index = _gateway_router_index(dataset, paths[i], int(asns[i]), hop_memo)
         if index is not None:
             group_city[g] = scheme.parse_city(scheme.hostname(int(asns[i]), index))
     hostname_cities = group_city[fact.gids]

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.faults.profiles import FaultProfile
 from repro.tables.table import Table
+from repro.traceroute import pathrecord
 from repro.util.rng import RngHub
 
 __all__ = ["FaultInjector", "InjectionSummary"]
@@ -127,14 +128,14 @@ class FaultInjector:
 
         hit = self._pick(rng, n, p.hop_truncation_rate)
         for i in hit:
-            hops = data["path"][i].split("|")
+            hops = pathrecord.split(data["path"][i])
             if len(hops) < 2:
                 continue
             keep = int(rng.integers(1, len(hops)))
-            data["path"][i] = "|".join(hops[:keep])
-            as_hops = data["as_path"][i].split("|")
+            data["path"][i] = pathrecord.join(hops[:keep])
+            as_hops = pathrecord.split(data["as_path"][i])
             if len(as_hops) > 1:
-                data["as_path"][i] = "|".join(as_hops[:-1])
+                data["as_path"][i] = pathrecord.join(as_hops[:-1])
             # n_hops left stale: the recorded count no longer matches the
             # truncated hop list, which is how the dirt is detectable.
         summary.add("trace:truncated-hops", len(hit))

@@ -1,9 +1,10 @@
 """Dataset-level ingest gate: quarantine dirty NDT/traceroute rows.
 
-The rules encode what the paper's pipeline silently relied on: metrics are
-positive finite numbers, loss is a fraction, timestamps fall inside the
-study windows, test UUIDs are unique, and a scamper record's hop count
-matches its hop list.  Clean generator output passes untouched; tables
+The rules (``repro.analysis.common.ndt_rules``/``trace_rules``, shared with
+the analysis guards) encode what the paper's pipeline silently relied on:
+metrics are positive finite numbers, loss is a fraction, timestamps fall
+inside the study windows, test UUIDs are unique, and a scamper record's hop
+count matches its hop list.  Clean generator output passes untouched; tables
 dirtied like real M-Lab extracts get split into a clean table and a
 quarantine side table that accounts for every dropped row.
 """
@@ -11,48 +12,14 @@ quarantine side table that accounts for every dropped row.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro import obs
-from repro.synth.generator import Dataset, study_periods
-from repro.tables.validate import (
-    GateResult,
-    Rule,
-    in_range,
-    matches_length,
-    positive,
-    unique,
-    validate_table,
-    within,
-)
+from repro.analysis.common import ndt_rules, trace_rules
+from repro.synth.generator import Dataset
+from repro.tables.validate import GateResult, validate_table
 
 __all__ = ["ndt_rules", "sanitize_dataset", "trace_rules"]
-
-
-def _study_windows() -> List[Tuple[int, int]]:
-    return [
-        (p.start.ordinal, p.end.ordinal) for p in study_periods().values()
-    ]
-
-
-def ndt_rules() -> List[Rule]:
-    """Validity rules for the NDT download table."""
-    return [
-        positive("tput_mbps"),
-        positive("min_rtt_ms"),
-        in_range("loss_rate", 0.0, 1.0),
-        within("day", _study_windows()),
-        unique("test_id"),
-    ]
-
-
-def trace_rules() -> List[Rule]:
-    """Validity rules for the traceroute table."""
-    return [
-        matches_length("n_hops", "path"),
-        within("day", _study_windows()),
-        unique("test_id"),
-    ]
 
 
 def sanitize_dataset(

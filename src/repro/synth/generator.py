@@ -70,6 +70,7 @@ from repro.tables.table import Table
 from repro.topology.bgp import AsPath, RouteSelector, StickyRouter
 from repro.topology.builder import Topology, build_default_topology
 from repro.topology.quality import LinkQualityModel
+from repro.traceroute import pathrecord
 from repro.traceroute.scamper import ScamperSidecar
 from repro.util.errors import DataError
 from repro.util.rng import RngHub
@@ -664,7 +665,7 @@ class DatasetGenerator:
                         add_rtt(rtt)
                         add_loss(loss)
                         # The record's path_key, from the memoized hop strings.
-                        add_path("|".join([dotted[ip.value] for ip in record.hop_ips]))
+                        add_path(pathrecord.join([dotted[ip.value] for ip in record.hop_ips]))
                         add_as_path(as_path)
                         add_n_hops(len(record.hop_ips))
 

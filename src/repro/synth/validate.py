@@ -18,6 +18,7 @@ from repro.analysis.periods import PERIOD_NAMES
 from repro.netbase.ipaddr import IPv4Address
 from repro.synth.generator import Dataset
 from repro.tables.expr import col
+from repro.traceroute import pathrecord
 
 __all__ = ["CheckResult", "ValidationReport", "validate_dataset"]
 
@@ -132,8 +133,8 @@ def validate_dataset(dataset: Dataset, sample: int = 2000) -> ValidationReport:
     t_paths = traces.column("path").values
     step = max(1, traces.n_rows // sample)
     for i in range(0, traces.n_rows, step):
-        hops = t_paths[i].split("|")
-        if hops[-1] != t_client[i]:
+        hops = pathrecord.split(t_paths[i])
+        if not hops or hops[-1] != t_client[i]:
             bad_traces += 1
     check("traces end at the client", bad_traces == 0, f"{bad_traces} bad traces")
 

@@ -383,16 +383,20 @@ class Column:
     def map(self, fn: Callable[[Any], Any], dtype: Optional[DType] = None) -> "Column":
         """Elementwise transform; dtype inferred from results unless given.
 
-        On STR columns ``fn`` is called once per *distinct* value (it must
-        be pure), then the results are broadcast through the codes — this is
-        what makes per-value lookups like IP→AS resolution O(distinct)
-        instead of O(rows).
+        On STR columns ``fn`` is called once per *distinct* value present
+        (it must be pure; ``fn(None)`` only when a null is present), then
+        the results are broadcast through the codes — this is what makes
+        per-value lookups like IP→AS resolution O(distinct) instead of
+        O(rows).  Pool entries no row uses (``take``/``mask`` keep the
+        parent's pool) are skipped.
         """
         if self._dtype is DType.STR:
-            lut = np.empty(len(self._pool) + 1, dtype=object)
-            for i, v in enumerate(self._pool):
-                lut[i] = fn(v)
-            lut[len(self._pool)] = fn(None) if (self._codes < 0).any() else None
+            used = np.zeros(len(self._pool) + 1, dtype=bool)
+            used[self._codes] = True  # NULL_CODE marks the last slot
+            values = self._pool.tolist() + [None]
+            lut = np.empty(len(values), dtype=object)
+            for i in np.flatnonzero(used).tolist():
+                lut[i] = fn(values[i])
             return Column(self._name, lut[self._codes], dtype)
         return Column(self._name, [fn(v) for v in self._data], dtype)
 

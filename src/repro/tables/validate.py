@@ -29,7 +29,7 @@ __all__ = [
     "ValidationReport",
     "finite",
     "in_range",
-    "matches_length",
+    "non_empty",
     "not_null",
     "positive",
     "unique",
@@ -128,6 +128,15 @@ def not_null(column: str) -> Rule:
     )
 
 
+def non_empty(column: str) -> Rule:
+    """STR column must hold a non-empty string (neither None nor "")."""
+    return Rule(
+        f"{column}:empty",
+        (column,),
+        lambda t: t.column(column).isin(("", None)),
+    )
+
+
 def unique(column: str) -> Rule:
     """Column values must be unique; later duplicates are flagged.
 
@@ -143,28 +152,6 @@ def unique(column: str) -> Rule:
         return ~keep
 
     return Rule(f"{column}:duplicate", (column,), check)
-
-
-def matches_length(count_column: str, list_column: str, sep: str = "|") -> Rule:
-    """INT column must equal the element count of a separated STR column.
-
-    Catches truncated scamper traces whose ``n_hops`` no longer matches
-    the hop list actually recorded.
-    """
-
-    def check(t: Table) -> np.ndarray:
-        counts = t.column(count_column).values.astype(np.int64)
-        texts = t.column(list_column).values
-        actual = np.fromiter(
-            (len(v.split(sep)) if isinstance(v, str) and v else 0 for v in texts),
-            dtype=np.int64,
-            count=len(texts),
-        )
-        return counts != actual
-
-    return Rule(
-        f"{count_column}:!=len({list_column})", (count_column, list_column), check
-    )
 
 
 @dataclass
@@ -203,13 +190,6 @@ class GateResult:
     clean: Table
     quarantine: Table
     report: ValidationReport
-
-
-def quarantine_schema(table: Table):
-    """The quarantine side table's schema: input columns + ``reason``."""
-    from repro.tables.schema import Field, Schema
-
-    return Schema(table.schema.fields + [Field(REASON_COLUMN, DType.STR)])
 
 
 def validate_table(

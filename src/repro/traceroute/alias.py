@@ -24,10 +24,15 @@ Table 2 can be recomputed at router granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.netbase.ipaddr import IPv4Address
+from repro.tables import kernels
+from repro.tables.schema import DType
 from repro.tables.table import Table
+from repro.traceroute.pathrecord import join, parse_as_path, parse_hops
 from repro.util.errors import AnalysisError
 
 __all__ = ["AliasMap", "resolve_aliases", "router_level_paths"]
@@ -57,22 +62,6 @@ class AliasMap:
         return sorted(members) if members else [addr_value]
 
 
-def _iter_hop_context(traces: Table) -> Iterable[Tuple[int, int, int]]:
-    """Yield (hop ip value, prev ASN, next ASN) for middle hops of each trace."""
-    paths = traces.column("path").values
-    as_paths = traces.column("as_path").values
-    for path_text, as_text in zip(paths, as_paths):
-        hops = [IPv4Address.parse(p).value for p in path_text.split("|")]
-        asns = [int(a) for a in as_text.split("|")]
-        # Align a coarse AS context: first AS before, last AS after.  For
-        # alias purposes the flanking ASNs of the whole path suffice as a
-        # consistency key when per-hop ASNs are not materialized.
-        if len(hops) < 3 or len(asns) < 2:
-            continue
-        for hop in hops[1:-1]:
-            yield hop, asns[0], asns[-1]
-
-
 def resolve_aliases(
     traces: Table,
     subnet_bits: int = 27,
@@ -94,11 +83,28 @@ def resolve_aliases(
     if traces.n_rows == 0:
         raise AnalysisError("empty traceroute table")
 
+    # Walk the distinct (path, as_path) pairs in first-appearance order,
+    # each weighted by its test count: the sightings, in the same order, of
+    # a walk over every row, with each distinct hop string parsed once.
+    path_col = traces.column("path")
+    as_col = traces.column("as_path")
+    fact = kernels.factorize([path_col, as_col])
+    tests = np.bincount(fact.gids, minlength=fact.n_groups)
     sightings: Dict[int, int] = {}
     contexts: Dict[int, set] = {}
-    for hop, src_asn, dst_asn in _iter_hop_context(traces):
-        sightings[hop] = sightings.get(hop, 0) + 1
-        contexts.setdefault(hop, set()).add((src_asn, dst_asn))
+    memo: Dict[str, int] = {}
+    for g in np.argsort(fact.first_idx):
+        first = int(fact.first_idx[g])
+        hops = parse_hops(path_col[first], memo)
+        asns = parse_as_path(as_col[first])
+        # Align a coarse AS context: first AS before, last AS after.  For
+        # alias purposes the flanking ASNs of the whole path suffice as a
+        # consistency key when per-hop ASNs are not materialized.
+        if len(hops) < 3 or len(asns) < 2:
+            continue
+        for hop in hops[1:-1]:
+            sightings[hop] = sightings.get(hop, 0) + int(tests[g])
+            contexts.setdefault(hop, set()).add((asns[0], asns[-1]))
 
     mask = ((1 << subnet_bits) - 1) << (32 - subnet_bits)
     by_subnet: Dict[int, List[int]] = {}
@@ -140,13 +146,15 @@ def router_level_paths(traces: Table, amap: Optional[AliasMap] = None) -> Table:
     """
     if amap is None:
         amap = resolve_aliases(traces)
-    new_paths = []
-    for text in traces.column("path").values:
-        hops = [IPv4Address.parse(p).value for p in text.split("|")]
+    memo: Dict[str, int] = {}
+
+    def router_path(text: str) -> str:
         canon: List[int] = []
-        for hop in hops:
+        for hop in parse_hops(text, memo):
             router = amap.router_of(hop)
             if not canon or canon[-1] != router:
                 canon.append(router)
-        new_paths.append("|".join(IPv4Address(h).dotted() for h in canon))
-    return traces.with_column("path", new_paths)
+        return join(IPv4Address(h).dotted() for h in canon)
+
+    # one rewrite per distinct path, broadcast through the dictionary codes
+    return traces.with_column("path", traces.column("path").map(router_path, DType.STR))

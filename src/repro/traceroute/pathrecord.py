@@ -1,14 +1,80 @@
-"""Traceroute result records and derived identities."""
+"""Traceroute records, derived identities, and the path text format.
+
+The trace table stores each trace's hops (``path``) and AS path
+(``as_path``) as ``|``-joined text, and this module is that format's one
+owner: writers call :func:`join`; readers call :func:`split`,
+:func:`parse_hops` or :func:`parse_as_path`, which raise
+:class:`~repro.util.errors.DataError` on malformed text.  Values derived
+from a path are computed once per distinct path through ``Column.map``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.netbase.asn import ASRegistry
 from repro.netbase.ipaddr import IPv4Address
+from repro.util.errors import DataError
 
-__all__ = ["TracerouteRecord", "border_crossing"]
+__all__ = [
+    "TracerouteRecord",
+    "border_crossing",
+    "hop_count",
+    "join",
+    "parse_as_path",
+    "parse_hops",
+    "split",
+]
+
+#: Separator between the hops of ``path`` and the ASNs of ``as_path``.
+SEP = "|"
+
+
+def join(parts: Iterable[str]) -> str:
+    """Path text of a hop or AS sequence, as the trace table stores it."""
+    return SEP.join(parts)
+
+
+def split(text: Optional[str]) -> List[str]:
+    """The hop or AS strings of path text; ``[]`` for ``""`` or None."""
+    return text.split(SEP) if text else []
+
+
+def hop_count(text: Optional[str]) -> int:
+    """``len(split(text))`` without building the list."""
+    return text.count(SEP) + 1 if text else 0
+
+
+def parse_hops(
+    text: Optional[str], memo: Optional[Dict[str, int]] = None
+) -> Tuple[int, ...]:
+    """The hop addresses of ``path`` text as int values, server first.
+
+    A caller walking many paths passes one ``memo`` (hop text → value) so
+    each distinct hop is parsed once.
+    """
+    if not text:
+        raise DataError("empty hop path")
+    memo = {} if memo is None else memo
+    parts = text.split(SEP)
+    for part in parts:
+        if part not in memo:
+            try:
+                memo[part] = IPv4Address.parse(part).value
+            except ValueError as exc:
+                raise DataError(f"malformed hop path {text!r}") from exc
+    return tuple([memo[part] for part in parts])
+
+
+def parse_as_path(text: Optional[str]) -> Tuple[int, ...]:
+    """The ASNs of ``as_path`` text; empty or malformed text raises DataError."""
+    if not text:
+        raise DataError("empty AS path")
+    try:
+        return tuple(int(part) for part in text.split(SEP))
+    except ValueError as exc:
+        raise DataError(f"malformed AS path {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -46,7 +112,7 @@ class TracerouteRecord:
     @property
     def path_key(self) -> str:
         """The paper's path identity: the traceroute IP address sequence."""
-        return "|".join(ip.dotted() for ip in self.hop_ips)
+        return join(ip.dotted() for ip in self.hop_ips)
 
     @property
     def as_path(self) -> Tuple[int, ...]:
@@ -59,15 +125,15 @@ class TracerouteRecord:
 
     @property
     def as_path_key(self) -> str:
-        """The deduplicated AS path, pipe-joined (the ``as_path`` column)."""
-        return "|".join(str(a) for a in self.as_path)
+        """The deduplicated AS path as text (the ``as_path`` column)."""
+        return join(str(a) for a in self.as_path)
 
     @property
     def n_hops(self) -> int:
         return len(self.hop_ips)
 
     def to_row(self) -> Dict[str, object]:
-        """Flatten into a table row (IPs dotted, sequences pipe-joined)."""
+        """Flatten into a table row (IPs dotted, sequences as path text)."""
         return {
             "test_id": self.test_id,
             "client_ip": self.client_ip.dotted(),
@@ -79,7 +145,7 @@ class TracerouteRecord:
 
 
 def border_crossing(
-    record: TracerouteRecord, registry: ASRegistry
+    as_path: Sequence[int], registry: ASRegistry
 ) -> Optional[Tuple[int, int]]:
     """The (foreign AS, Ukrainian AS) pair where the trace enters Ukraine.
 
@@ -88,8 +154,7 @@ def border_crossing(
     (Figure 5).  Returns None when the trace never enters Ukraine or an AS
     is unknown to the registry.
     """
-    path = record.as_path
-    for left, right in zip(path, path[1:]):
+    for left, right in zip(as_path, as_path[1:]):
         left_as = registry.maybe_get(left)
         right_as = registry.maybe_get(right)
         if left_as is None or right_as is None:

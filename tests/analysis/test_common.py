@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     client_as_column,
-    parse_as_path,
     slice_period,
     slice_year,
     with_periods,
@@ -58,20 +57,6 @@ class TestClientAs:
         t = Table.from_dict({"client_ip": ["203.0.113.9"]})
         out = client_as_column(t, small_dataset.topology.iplayer)
         assert out["client_asn"].to_list() == [-1]
-
-
-class TestParseAsPath:
-    def test_roundtrip(self):
-        assert parse_as_path("64499|6939|199995|15895") == (64499, 6939, 199995, 15895)
-
-    def test_single(self):
-        assert parse_as_path("42") == (42,)
-
-    def test_malformed(self):
-        with pytest.raises(AnalysisError):
-            parse_as_path("a|b")
-        with pytest.raises(AnalysisError):
-            parse_as_path("")
 
 
 def test_study_periods_are_the_papers():

@@ -64,6 +64,41 @@ class TestMap:
         assert Column("x", [1]).map(lambda v: v + 1).name == "x"
 
 
+class TestMapStr:
+    """On STR columns ``map`` works per distinct value, not per row."""
+
+    @staticmethod
+    def counting(fn):
+        calls = []
+
+        def wrapped(v):
+            calls.append(v)
+            return fn(v)
+
+        return wrapped, calls
+
+    def test_once_per_distinct_value_with_nulls(self):
+        c = Column("p", ["a|b", None, "a|b", "c", None, "c", "a|b"])
+        fn, calls = self.counting(lambda v: -1 if v is None else len(v))
+        out = c.map(fn, DType.INT)
+        assert len(calls) == 3 and set(calls) == {None, "a|b", "c"}
+        assert out.to_list() == [3, -1, 3, 1, -1, 1, 3]
+        assert out.dtype is DType.INT
+
+    def test_null_function_runs_only_when_a_null_exists(self):
+        fn, calls = self.counting(len)
+        out = Column("p", ["ab", "c", "ab"]).map(fn, DType.INT)
+        assert None not in calls and len(calls) == 2
+        assert out.to_list() == [2, 1, 2]
+
+    def test_unused_pool_entries_skipped(self):
+        # mask/take keep the parent's pool; entries no row uses are not mapped
+        kept = Column("p", ["keep", "bad-entry", "keep"]).mask([True, False, True])
+        fn, calls = self.counting(str.upper)
+        assert kept.map(fn, DType.STR).to_list() == ["KEEP", "KEEP"]
+        assert calls == ["keep"]
+
+
 class TestPercentileAggregators:
     def test_groupby_percentiles(self):
         from repro.tables import Table

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis.common import trace_rules
 from repro.tables import DType, Table
 from repro.tables.validate import (
     REASON_COLUMN,
     Rule,
     finite,
     in_range,
-    matches_length,
+    non_empty,
     not_null,
     positive,
     unique,
@@ -76,10 +77,18 @@ class TestRules:
             False, False, True, False, False,
         ]
 
-    def test_matches_length(self, table):
-        assert matches_length("n_hops", "path").bad_mask(table).tolist() == [
+    def test_trace_hop_count_rule(self, table):
+        (rule,) = [r for r in trace_rules() if r.name == "n_hops:!=len(path)"]
+        assert rule.bad_mask(table).tolist() == [
             False, False, True, False, False,
         ]
+
+    def test_non_empty(self, table):
+        assert non_empty("city").bad_mask(table).tolist() == [
+            False, True, False, False, False,
+        ]
+        blank = Table.from_dict({"path": ["a|b", "", None]}, dtypes={"path": DType.STR})
+        assert non_empty("path").bad_mask(blank).tolist() == [False, True, True]
 
     def test_missing_column_raises_typed(self, table):
         with pytest.raises(DataError, match="nope"):

@@ -1,9 +1,17 @@
-"""Tests for traceroute records and border-crossing extraction."""
+"""Tests for traceroute records, the path text format, and border crossings."""
 
 import pytest
 
 from repro.netbase import ASRegistry, ASRole, AutonomousSystem, IPv4Address
 from repro.traceroute import TracerouteRecord, border_crossing
+from repro.traceroute.pathrecord import (
+    hop_count,
+    join,
+    parse_as_path,
+    parse_hops,
+    split,
+)
+from repro.util.errors import DataError
 
 
 def A(text):
@@ -97,18 +105,68 @@ class TestRecord:
 class TestBorderCrossing:
     def test_finds_entry_into_ukraine(self, registry):
         r = make_record((64499, 6939, 199995, 15895, 15895))
-        assert border_crossing(r, registry) == (6939, 199995)
+        assert border_crossing(r.as_path, registry) == (6939, 199995)
 
     def test_first_crossing_reported(self, registry):
         # Even if the path touches several UA ASes, the first entry counts.
         r = make_record((64499, 6939, 199995, 15895, 15895))
-        crossing = border_crossing(r, registry)
+        crossing = border_crossing(r.as_path, registry)
         assert crossing[1] == 199995
 
     def test_no_crossing_when_all_foreign(self, registry):
         r = make_record((64499, 6939, 6939, 6939, 6939))
-        assert border_crossing(r, registry) is None
+        assert border_crossing(r.as_path, registry) is None
 
     def test_unknown_as_returns_none(self, registry):
         r = make_record((64499, 4242, 199995, 15895, 15895))
-        assert border_crossing(r, registry) is None
+        assert border_crossing(r.as_path, registry) is None
+
+
+class TestParseAsPath:
+    def test_roundtrip(self):
+        assert parse_as_path("64499|6939|199995|15895") == (64499, 6939, 199995, 15895)
+
+    def test_single(self):
+        assert parse_as_path("42") == (42,)
+
+    def test_malformed(self):
+        with pytest.raises(DataError):
+            parse_as_path("a|b")
+        with pytest.raises(DataError):
+            parse_as_path("")
+
+
+class TestPathText:
+    def test_record_keys_parse_back(self):
+        r = make_record()
+        assert parse_hops(r.path_key) == tuple(ip.value for ip in r.hop_ips)
+        assert parse_as_path(r.as_path_key) == r.as_path
+
+    def test_join_split_roundtrip(self):
+        parts = ["10.0.0.1", "192.0.2.7", "100.64.0.2"]
+        assert split(join(parts)) == parts
+        assert parse_hops(join(parts)) == tuple(A(p).value for p in parts)
+
+    @pytest.mark.parametrize(
+        "text", ["", None, "10.0.0.1", "10.0.0.1|10.0.0.2", "a|b|c|d", "|", "a||b"]
+    )
+    def test_hop_count_is_split_length(self, text):
+        assert hop_count(text) == len(split(text))
+
+    def test_empty_text_has_no_parts(self):
+        assert split("") == [] and split(None) == []
+        assert hop_count("") == 0 and hop_count(None) == 0
+
+    @pytest.mark.parametrize(
+        "text", ["", None, "10.0.0.1|10.0.0", "10.0.0.1||10.0.0.2", "10.0.0.256"]
+    )
+    def test_malformed_hops_raise_data_error(self, text):
+        with pytest.raises(DataError):
+            parse_hops(text)
+
+    def test_memo_parses_each_hop_once(self):
+        memo = {}
+        first = parse_hops("10.0.0.1|10.0.0.2", memo)
+        assert memo == {"10.0.0.1": first[0], "10.0.0.2": first[1]}
+        memo["10.0.0.2"] = 7  # a memo hit is trusted, not re-parsed
+        assert parse_hops("10.0.0.2|10.0.0.1", memo) == (7, first[0])
