@@ -5,9 +5,10 @@ answers *what is happening* while tests stream in.  Four pieces, layered
 so each is independently testable (see ``docs/OBSERVABILITY.md``):
 
 * **mergeable aggregates** (:mod:`~repro.obs.live.window`) — per-(scope,
-  metric) sliding-window state built on exact (Shewchuk-expansion)
-  sums, so ``merge`` is associative and commutative *bit-for-bit* and
-  any chunking of the same rows produces byte-identical snapshots;
+  metric) sliding-window state built on exact sums in one canonical
+  form, so ``merge`` is associative and commutative *bit-for-bit* and
+  any chunking of the same rows produces byte-identical snapshots and
+  checkpoints;
 * **online degradation detection** (:mod:`~repro.obs.live.detect`) — a
   deterministic change-point engine: sliding Welch's t against a
   prewar baseline (``repro.stats.welch`` on summary moments) plus

@@ -30,10 +30,20 @@ from repro.runtime.checkpoint import CheckpointStore, config_key
 from repro.util.errors import ReproError
 from repro.util.timeutil import Day
 
-__all__ = ["LiveDaemon", "SimulatedClock"]
+__all__ = ["LiveDaemon", "SimulatedClock", "StateVersionError"]
 
 #: Checkpoint stage name (crash points: ``checkpoint.live.state:*``).
 STATE_STAGE = "live.state"
+
+#: Version of :meth:`LiveDaemon.to_state`.  2: canonical exact sums and
+#: day-bucket histograms kept as bucket counts only.  It is part of the
+#: checkpoint key, so a state of another version is never found, and
+#: :meth:`LiveDaemon.restore` refuses one.
+STATE_SCHEMA = 2
+
+
+class StateVersionError(ReproError):
+    """A checkpointed live state has a schema version this code cannot read."""
 
 
 class SimulatedClock:
@@ -92,6 +102,7 @@ class LiveDaemon:
         )
         self.key = config_key(
             {
+                "schema_version": STATE_SCHEMA,
                 "window": self.agg.config.__dict__,
                 "detector": self.engine.config.__dict__,
                 "replay": {
@@ -113,7 +124,7 @@ class LiveDaemon:
     # -- checkpointing -------------------------------------------------------
     def to_state(self) -> Dict[str, object]:
         return {
-            "schema_version": 1,
+            "schema_version": STATE_SCHEMA,
             "next_day": self.clock.ordinal,
             "days_processed": self.days_processed,
             "aggregator": self.agg.to_state(),
@@ -121,6 +132,12 @@ class LiveDaemon:
         }
 
     def restore(self, state: Dict[str, object]) -> None:
+        version = state.get("schema_version")
+        if version != STATE_SCHEMA:
+            raise StateVersionError(
+                f"live state has schema_version {version!r}; this code reads "
+                f"{STATE_SCHEMA} only"
+            )
         self.agg = SlidingWindowAggregator.from_state(state["aggregator"])
         self.engine = AlertEngine.from_state(state["engine"])
         self.clock = SimulatedClock(int(state["next_day"]))

@@ -154,23 +154,32 @@ class VolumeRule:
         if self.kind not in ("surge", "collapse"):
             raise ValueError(f"kind must be surge|collapse, got {self.kind!r}")
 
+    def surge_volume(
+        self, day_rows: int, recent_daily_mean: Optional[float]
+    ) -> bool:
+        """Whether today's row count alone clears the surge gate.
+
+        Row counts need no folded window, so the engine asks this before
+        it reads the trailing window's state.
+        """
+        if not recent_daily_mean or recent_daily_mean < self.min_reference_daily:
+            return False
+        return day_rows / recent_daily_mean >= self.count_factor
+
     def evaluate_surge(
         self,
         day_state: Optional[KeyState],
         recent_state: Optional[KeyState],
         recent_daily_mean: Optional[float],
     ) -> Optional[Dict[str, object]]:
-        if day_state is None or recent_state is None or not recent_daily_mean:
+        if day_state is None or recent_state is None:
             return None
-        if recent_daily_mean < self.min_reference_daily:
-            return None
-        count_ratio = day_state.rows / recent_daily_mean
-        if count_ratio < self.count_factor:
+        if not self.surge_volume(day_state.rows, recent_daily_mean):
             return None
         evidence: Dict[str, object] = {
             "day_rows": day_state.rows,
             "recent_daily_mean": recent_daily_mean,
-            "count_ratio": count_ratio,
+            "count_ratio": day_state.rows / recent_daily_mean,
         }
         if self.tput_factor is not None:
             day_t = day_state.moments["tput_mbps"]
@@ -397,17 +406,20 @@ class AlertEngine:
         if day <= agg.config.baseline_ordinals[-1]:
             return []
 
+        # Views fold a scope only when it is read, so every loop filters
+        # labels by the rule's scope kinds first and reads row counts
+        # without folding where counts are all a rule needs.
         fired: Dict[str, Tuple[object, Dict[str, object]]] = {}
         baseline = agg.baseline_state()
         for rule in self.metric_rules:
             window = agg.window_state(day, days=rule.window_days)
-            for label, state in window.items():
+            for label in window:
                 if self._scope_kind(label) not in rule.scope_kinds:
                     continue
                 base = baseline.get(label)
                 if base is None:
                     continue
-                evidence = rule.evaluate(state, base)
+                evidence = rule.evaluate(window[label], base)
                 if evidence is not None:
                     fired[f"{rule.rule_id}:{label}"] = (rule, evidence)
 
@@ -421,9 +433,10 @@ class AlertEngine:
                 for label, state in day_state.items():
                     if self._scope_kind(label) not in vrule.scope_kinds:
                         continue
-                    evidence = vrule.evaluate_surge(
-                        state, recent.get(label), recent_counts.get(label)
-                    )
+                    mean = recent_counts.get(label)
+                    if not vrule.surge_volume(state.rows, mean):
+                        continue
+                    evidence = vrule.evaluate_surge(state, recent.get(label), mean)
                     if evidence is not None:
                         fired[f"{vrule.rule_id}:{label}"] = (vrule, evidence)
             else:
@@ -433,10 +446,8 @@ class AlertEngine:
                 for label, base_mean in baseline_counts.items():
                     if self._scope_kind(label) not in vrule.scope_kinds:
                         continue
-                    week_state = week.get(label)
-                    week_rows = week_state.rows if week_state is not None else 0
                     evidence = vrule.evaluate_collapse(
-                        week_rows, agg.config.recent_days, base_mean
+                        week.rows(label), agg.config.recent_days, base_mean
                     )
                     if evidence is not None:
                         fired[f"{vrule.rule_id}:{label}"] = (vrule, evidence)

@@ -60,6 +60,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+class _Server(ThreadingHTTPServer):
+    """The threaded server with a listen backlog for many concurrent clients.
+
+    ``socketserver``'s default backlog of 5 drops the connection attempts
+    of a burst of clients beyond it; each dropped SYN is retried a full
+    second later, which is the whole tail of the request latency.
+    """
+
+    daemon_threads = True
+    request_queue_size = 128
+
+
 class HealthService:
     """Snapshot-isolated read API over a live daemon's state.
 
@@ -114,21 +126,24 @@ class HealthService:
             }
         )
         views["/alerts"] = _render(daemon.alerts_doc())
+        # One snapshot per oblast: /oblast/<name> shows it whole and
+        # /oblasts without its histograms.
+        snaps = {name: window[f"oblast:{name}"].snapshot() for name in oblasts}
         views["/oblasts"] = _render(
             {
                 "day": Day(day).iso() if day is not None else None,
                 "oblasts": {
-                    name: window[f"oblast:{name}"].snapshot(histograms=False)
-                    for name in oblasts
+                    name: {k: v for k, v in snap.items() if k != "histograms"}
+                    for name, snap in snaps.items()
                 },
             }
         )
-        for name in oblasts:
+        for name, snap in snaps.items():
             views[f"/oblast/{name}"] = _render(
                 {
                     "day": Day(day).iso() if day is not None else None,
                     "oblast": name,
-                    "window": window[f"oblast:{name}"].snapshot(),
+                    "window": snap,
                 }
             )
         national = window.get("national")
@@ -158,8 +173,7 @@ class HealthService:
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> Tuple[str, int]:
         """Bind and serve on a daemon thread; returns (host, port)."""
-        server = ThreadingHTTPServer((self.host, self.port), _Handler)
-        server.daemon_threads = True
+        server = _Server((self.host, self.port), _Handler)
         server.service = self  # type: ignore[attr-defined]
         self._server = server
         self.port = server.server_address[1]

@@ -8,41 +8,51 @@ group-by over the same rows, no matter how the stream was chunked.
 
 Plain floating-point accumulation cannot deliver that: ``(a+b)+c`` and
 ``a+(b+c)`` differ in the low bits, so a classic Welford merge is only
-associative up to rounding.  Instead every sum here is carried as a
-**Shewchuk expansion** (:class:`repro.obs.metrics.ExactSum`) — a short
-list of non-overlapping floats whose mathematical sum is *exactly* the
-running total.  Adding a value or merging two expansions preserves
-exactness, and rendering goes through ``math.fsum`` (correctly rounded),
-so the rendered total is a function of the exact mathematical sum alone
-— the order and grouping of updates cannot leak into a single bit.
+associative up to rounding.  Instead every sum here is an
+:class:`repro.obs.metrics.ExactSum`: a short list of floats whose
+mathematical sum is *exactly* the running total, kept in one canonical
+form (the chain of ``math.fsum`` residuals) that depends on the exact
+total alone.  Rendering goes through ``math.fsum`` (correctly rounded),
+so neither the rendered value nor a checkpointed state can depend on
+the order or grouping of the rows.
 
-Second moments come from the same machinery: :class:`MomentState` keeps
-exact Σx and Σx² (each ``x*x`` is one IEEE multiplication, identical on
-every path) and derives mean/variance through one shared formula,
-matching :func:`repro.tables.kernels.group_moments_exact` bit-for-bit.
-The per-day histograms are :class:`repro.obs.metrics.Histogram`, whose
-sum is the same expansion and whose merge is exact bucket-wise addition.
+Each arriving batch goes through one array pass for all of its scopes
+(:func:`repro.tables.kernels.group_moments_exact`): per scope and
+stream it yields the count, canonical Σx and Σx², min, max and, for the
+raw streams, histogram bucket counts.  The batch's states then merge
+into the day's buckets.  :class:`MomentState` derives mean/variance
+from Σx and Σx² through one shared formula (:func:`moments_from_sums`).
+A raw stream's histogram keeps only its bucket counts: its count, sum,
+min and max are the stream's moments, and its bounds are
+:data:`RAW_METRICS`; it renders through
+:func:`repro.obs.metrics.histogram_snapshot`.
 
-Windows are read-only **folds** of day buckets (:meth:`KeyState.fold`):
-counts add, extremes widen, and each sum keeps its constituents'
-partials side by side (:meth:`ExactSum.of`).  Concatenated partials
-still add up to the exact total and ``math.fsum`` rounds any list
-correctly, so a fold renders the same bytes as merging one by one.  The
-aggregator assembles each distinct window at most once per day close
-and hands the same views to the detector and the health service.  Only
-checkpointed state — day buckets and the compacted baseline — is built
-by the normalizing :meth:`KeyState.merge`, so checkpoints keep their
-bytes.  The hypothesis suite in ``tests/obs/live/`` pins all of this
-down.
+Windows are read-only views (:class:`WindowView`) over day buckets.  A
+view folds a scope (:meth:`KeyState.fold`: counts add, extremes widen,
+sums keep their constituents' partials side by side) only when a
+reader first asks for it, and row counts never fold.  A view is valid
+until the aggregator's next :meth:`~SlidingWindowAggregator.ingest` or
+:meth:`~SlidingWindowAggregator.close_day`; reading it after that
+raises :class:`StaleViewError`.  Only checkpointed state — day buckets
+and the compacted baseline — is built by the normalizing
+:meth:`KeyState.merge`.  The hypothesis suite in ``tests/obs/live/``
+pins all of this down.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import ExactSum, Histogram
+import numpy as np
+
+from repro import obs
+from repro.obs.metrics import ExactSum, histogram_snapshot
+from repro.tables.kernels import group_moments_exact
+from repro.util.errors import ReproError
 from repro.util.timeutil import Day
 
 __all__ = [
@@ -51,8 +61,11 @@ __all__ = [
     "RTT_BUCKETS",
     "ScopeKey",
     "SlidingWindowAggregator",
+    "StaleViewError",
     "TPUT_BUCKETS",
     "WindowConfig",
+    "WindowView",
+    "batch_states",
     "moments_from_sums",
 ]
 
@@ -94,10 +107,11 @@ def moments_from_sums(n: int, s1: float, s2: float) -> Tuple[float, float]:
 class MomentState:
     """Mergeable count/mean/var/min/max over the finite values of a stream.
 
-    NaNs are skipped (matching the batch kernels' NaN-ignoring contract);
-    Σx and Σx² are exact (:class:`ExactSum`), so :meth:`merge` is
+    Σx and Σx² are canonical :class:`ExactSum`\\ s, so :meth:`merge` is
     associative/commutative bit-for-bit and any chunking of the same
-    rows yields an identical :meth:`snapshot`.
+    values yields an identical :meth:`snapshot` and :meth:`to_state`.
+    Ingested states come from :func:`group_moments_exact` (:meth:`of`),
+    which skips NaNs.
     """
 
     __slots__ = ("n", "sum", "sumsq", "vmin", "vmax")
@@ -109,17 +123,14 @@ class MomentState:
         self.vmin = math.inf
         self.vmax = -math.inf
 
-    def update(self, v: float) -> None:
-        v = float(v)
-        if math.isnan(v):
-            return
-        self.n += 1
-        self.sum.add(v)
-        self.sumsq.add(v * v)
-        if v < self.vmin:
-            self.vmin = v
-        if v > self.vmax:
-            self.vmax = v
+    @classmethod
+    def of(
+        cls, n: int, total: ExactSum, sumsq: ExactSum, vmin: float, vmax: float
+    ) -> "MomentState":
+        """A state from its parts, e.g. one group of the batch kernel."""
+        out = cls.__new__(cls)
+        out.n, out.sum, out.sumsq, out.vmin, out.vmax = n, total, sumsq, vmin, vmax
+        return out
 
     def merge(self, other: "MomentState") -> None:
         self.n += other.n
@@ -203,10 +214,18 @@ LOG_METRICS: Tuple[Tuple[str, str], ...] = (
     ("log_tput_mbps", "tput_mbps"),
     ("log_min_rtt_ms", "min_rtt_ms"),
 )
+#: Every moment stream of a :class:`KeyState`, raw streams first.
+STREAMS: Tuple[str, ...] = tuple(n for n, _ in RAW_METRICS) + tuple(
+    n for n, _ in LOG_METRICS
+)
 
 
 def log_transform(v: float) -> float:
-    """The detector's variance-stabilizing transform (NaN passes through)."""
+    """The detector's variance-stabilizing transform (NaN passes through).
+
+    ``math.log``, not ``np.log``: numpy's SIMD log differs from libm in
+    the last bit on some inputs, and the bytes must not depend on it.
+    """
     if math.isnan(v):
         return v
     return math.log(max(v, LOG_FLOOR))
@@ -231,39 +250,28 @@ class ScopeKey:
 
 
 class KeyState:
-    """All per-scope state for one day: moments + histograms + row count."""
+    """All per-scope state for one day: moments, bucket counts, row count.
 
-    __slots__ = ("rows", "moments", "hists")
+    ``buckets[name]`` holds the histogram bucket counts of raw stream
+    ``name`` (bounds from :data:`RAW_METRICS`, one overflow bucket); the
+    histogram's count, sum, min and max are ``moments[name]``'s.
+    """
+
+    __slots__ = ("rows", "moments", "buckets")
 
     def __init__(self):
         self.rows = 0  # every ingested row, NaN metrics included
-        self.moments: Dict[str, MomentState] = {
-            name: MomentState() for name, _ in RAW_METRICS
+        self.moments: Dict[str, MomentState] = {name: MomentState() for name in STREAMS}
+        self.buckets: Dict[str, List[int]] = {
+            name: [0] * (len(bounds) + 1) for name, bounds in RAW_METRICS
         }
-        self.moments.update(
-            {name: MomentState() for name, _ in LOG_METRICS}
-        )
-        self.hists: Dict[str, Histogram] = {
-            name: Histogram(name, bounds) for name, bounds in RAW_METRICS
-        }
-
-    def update(self, tput: float, rtt: float, loss: float) -> None:
-        self.rows += 1
-        self.moments["tput_mbps"].update(tput)
-        self.moments["min_rtt_ms"].update(rtt)
-        self.moments["loss_rate"].update(loss)
-        self.moments["log_tput_mbps"].update(log_transform(tput))
-        self.moments["log_min_rtt_ms"].update(log_transform(rtt))
-        self.hists["tput_mbps"].observe(tput)
-        self.hists["min_rtt_ms"].observe(rtt)
-        self.hists["loss_rate"].observe(loss)
 
     def merge(self, other: "KeyState") -> None:
         self.rows += other.rows
         for name, m in other.moments.items():
             self.moments[name].merge(m)
-        for name, h in other.hists.items():
-            self.hists[name].merge(h)
+        for name, counts in other.buckets.items():
+            self.buckets[name] = list(map(add, self.buckets[name], counts))
 
     @classmethod
     def fold(cls, states: Sequence["KeyState"]) -> "KeyState":
@@ -274,46 +282,164 @@ class KeyState:
         normalized (:meth:`ExactSum.of`): use it for read-only views, and
         :meth:`merge` for state that is checkpointed.
         """
-        first = states[0]
         out = cls.__new__(cls)
         out.rows = sum([s.rows for s in states])
         out.moments = {
             name: MomentState.fold([s.moments[name] for s in states])
-            for name in first.moments
+            for name in STREAMS
         }
-        out.hists = {
-            name: Histogram.fold([s.hists[name] for s in states])
-            for name in first.hists
+        out.buckets = {
+            name: [sum(c) for c in zip(*[s.buckets[name] for s in states])]
+            for name, _ in RAW_METRICS
         }
         return out
 
-    def snapshot(self, histograms: bool = True) -> Dict[str, object]:
-        out: Dict[str, object] = {
+    def snapshot(self) -> Dict[str, object]:
+        hists: Dict[str, object] = {}
+        for name, bounds in sorted(RAW_METRICS):
+            m = self.moments[name]
+            hists[name] = histogram_snapshot(
+                bounds, self.buckets[name], m.n, m.sum, m.vmin, m.vmax
+            )
+        return {
             "rows": self.rows,
             "metrics": {n: m.snapshot() for n, m in sorted(self.moments.items())},
+            "histograms": hists,
         }
-        if histograms:
-            out["histograms"] = {
-                n: h.snapshot() for n, h in sorted(self.hists.items())
-            }
-        return out
 
     def to_state(self) -> Dict[str, object]:
         return {
             "rows": self.rows,
             "moments": {n: m.to_state() for n, m in sorted(self.moments.items())},
-            "hists": {n: h.to_state() for n, h in sorted(self.hists.items())},
+            "buckets": {n: list(c) for n, c in sorted(self.buckets.items())},
         }
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "KeyState":
-        out = cls()
+        out = cls.__new__(cls)
         out.rows = int(state["rows"])
-        for name, mstate in state["moments"].items():
-            out.moments[name] = MomentState.from_state(mstate)
-        for name, hstate in state["hists"].items():
-            out.hists[name] = Histogram.from_state(hstate, name)
+        out.moments = {
+            name: MomentState.from_state(state["moments"][name]) for name in STREAMS
+        }
+        out.buckets = {
+            name: [int(n) for n in state["buckets"][name]] for name, _ in RAW_METRICS
+        }
         return out
+
+
+def batch_states(
+    scopes: Sequence["ScopeKey"],
+    tput: Sequence[float],
+    rtt: Sequence[float],
+    loss: Sequence[float],
+    scope_rows: Sequence[Sequence[int]],
+) -> List[Tuple[str, KeyState]]:
+    """``(label, state)`` per scope of one batch, from one array pass.
+
+    Every stream goes through :func:`group_moments_exact` once, over the
+    concatenated ``scope_rows``; the log streams take ``math.log`` once
+    per row, not once per (row, scope).
+    """
+    lengths = [len(rows) for rows in scope_rows]
+    order = (
+        np.concatenate([np.asarray(rows, dtype=np.int64) for rows in scope_rows])
+        if scope_rows
+        else np.zeros(0, dtype=np.int64)
+    )
+    starts = np.cumsum([0] + lengths[:-1], dtype=np.int64)
+    columns = {
+        "tput_mbps": np.asarray(tput, dtype=np.float64),
+        "min_rtt_ms": np.asarray(rtt, dtype=np.float64),
+        "loss_rate": np.asarray(loss, dtype=np.float64),
+    }
+    for name, source in LOG_METRICS:
+        columns[name] = np.array(
+            [log_transform(v) for v in columns[source].tolist()], dtype=np.float64
+        )
+    bounds = dict(RAW_METRICS)
+    per_stream = []
+    for name in STREAMS:
+        gm = group_moments_exact(columns[name], order, starts, bounds.get(name))
+        per_stream.append((
+            name,
+            list(zip(gm.counts.tolist(), gm.sums, gm.sumsqs,
+                     gm.mins.tolist(), gm.maxs.tolist())),
+            gm.buckets.tolist() if gm.buckets is not None else None,
+        ))
+    out: List[Tuple[str, KeyState]] = []
+    for g, key in enumerate(scopes):
+        state = KeyState.__new__(KeyState)
+        state.rows = lengths[g]
+        state.moments = {}
+        state.buckets = {}
+        for name, groups, buckets in per_stream:
+            state.moments[name] = MomentState.of(*groups[g])
+            if buckets is not None:
+                state.buckets[name] = buckets[g]
+        out.append((key.label(), state))
+    return out
+
+
+class StaleViewError(ReproError):
+    """A window view was read after its aggregator ingested or closed a day."""
+
+
+class WindowView(Mapping):
+    """Per-scope state of a set of day states, each scope folded on first read.
+
+    Maps scope label → :class:`KeyState`.  A label with one day state
+    reads that state as is; a label with several is folded
+    (:meth:`KeyState.fold`) once, on its first read.  :meth:`rows` and
+    iterating the labels never fold.  The view is shared and read-only,
+    and valid until the aggregator's next ``ingest`` or ``close_day``:
+    any read after that raises :class:`StaleViewError`.
+    """
+
+    __slots__ = ("_agg", "_generation", "_parts", "_folded")
+
+    def __init__(self, agg: "SlidingWindowAggregator", parts: Dict[str, List[KeyState]]):
+        self._agg = agg
+        self._generation = agg._generation
+        self._parts = parts
+        self._folded: Dict[str, KeyState] = {}
+        obs.counter("live.window.views").inc()
+
+    def _check(self) -> None:
+        if self._agg._generation != self._generation:
+            raise StaleViewError(
+                "window view read after the aggregator changed; "
+                "ask the aggregator for a new one"
+            )
+
+    def __getitem__(self, label: str) -> KeyState:
+        self._check()
+        state = self._folded.get(label)
+        if state is None:
+            parts = self._parts[label]
+            if len(parts) == 1:
+                state = parts[0]
+            else:
+                state = KeyState.fold(parts)
+                obs.counter("live.window.folds").inc()
+            self._folded[label] = state
+        return state
+
+    def __contains__(self, label: object) -> bool:
+        self._check()
+        return label in self._parts
+
+    def __iter__(self) -> Iterator[str]:
+        self._check()
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        self._check()
+        return len(self._parts)
+
+    def rows(self, label: str) -> int:
+        """Rows of ``label`` in the window (0 when absent); never folds."""
+        self._check()
+        return sum([s.rows for s in self._parts.get(label, ())])
 
 
 @dataclass(frozen=True)
@@ -351,17 +477,17 @@ class WindowConfig:
 class SlidingWindowAggregator:
     """Per-(scope, metric) sliding-window state over a day-bucketed stream.
 
-    Rows land in per-day :class:`KeyState` buckets; windows are assembled
-    by folding day buckets, which is exact, so **any** chunking of the
-    same rows produces byte-identical window snapshots.  Each distinct
-    window is assembled at most once between two changes of the state
-    (:meth:`ingest`, :meth:`close_day`), and every reader gets the same
-    dict: the window methods return shared, read-only views, as
-    :meth:`day_state` returns the live bucket.  Callers must not mutate
-    them.  Day buckets older than the retention horizon are merged into
-    the compacted baseline (when inside the baseline period) or dropped
-    — the live daemon's memory footprint is bounded by
-    ``retain_days × scopes``, not by stream length.
+    Rows land in per-day :class:`KeyState` buckets; windows are read
+    through :class:`WindowView`\\ s over those buckets, which fold exactly,
+    so **any** chunking of the same rows produces byte-identical window
+    snapshots.  Each distinct window is assembled at most once between
+    two changes of the state (:meth:`ingest`, :meth:`close_day`), and
+    every reader gets the same view; :meth:`day_state` returns the live
+    bucket.  Callers must not mutate either.  Day buckets older than the
+    retention horizon are merged into the compacted baseline (when
+    inside the baseline period) or dropped — the live daemon's memory
+    footprint is bounded by ``retain_days × scopes``, not by stream
+    length.
     """
 
     def __init__(self, config: WindowConfig = WindowConfig()):
@@ -374,8 +500,14 @@ class SlidingWindowAggregator:
         self.baseline_days_compacted = 0
         self.rows_ingested = 0
         self.last_day: Optional[int] = None
-        #: windows assembled since the state last changed (not checkpointed)
-        self._memo: Dict[object, Dict[str, KeyState]] = {}
+        #: bumped by every change of the state; views of an older one are stale
+        self._generation = 0
+        #: views assembled since the state last changed (not checkpointed)
+        self._memo: Dict[object, WindowView] = {}
+
+    def _changed(self) -> None:
+        self._generation += 1
+        self._memo.clear()
 
     # -- ingest --------------------------------------------------------------
     def ingest(
@@ -392,25 +524,27 @@ class SlidingWindowAggregator:
         ``scopes[k]`` owns the row indices ``scope_rows[k]`` — one row
         usually lands in several scopes (national + its oblast + its AS
         + its city + its site).  Values are plain sequences/arrays of
-        floats; NaNs are skipped per metric.
+        floats; NaNs are skipped per metric.  ``rows_ingested`` counts
+        (row, scope) pairs.
         """
         day = int(day)
-        self._memo.clear()
+        states = batch_states(scopes, tput, rtt, loss, scope_rows)
+        self._changed()
         bucket = self.days.setdefault(day, {})
-        for key, rows in zip(scopes, scope_rows):
-            state = bucket.get(key.label())
-            if state is None:
-                state = bucket[key.label()] = KeyState()
-            for i in rows:
-                state.update(float(tput[i]), float(rtt[i]), float(loss[i]))
-                self.rows_ingested += 1
+        for label, state in states:
+            prior = bucket.get(label)
+            if prior is None:
+                bucket[label] = state
+            else:
+                prior.merge(state)
+            self.rows_ingested += state.rows
         if self.last_day is None or day > self.last_day:
             self.last_day = day
 
     def close_day(self, day: int) -> None:
         """Advance the horizon past ``day``: evict/compact stale buckets."""
         day = int(day)
-        self._memo.clear()
+        self._changed()
         if self.last_day is None or day > self.last_day:
             self.last_day = day
         cutoff = day - self.config.retain_days() + 1
@@ -426,13 +560,13 @@ class SlidingWindowAggregator:
                 self.baseline_days_compacted += 1
 
     # -- windows -------------------------------------------------------------
-    def _fold(
+    def _view(
         self,
         key: object,
         ordinals: Iterable[int],
         extra: Iterable[Tuple[str, KeyState]] = (),
-    ) -> Dict[str, KeyState]:
-        """The memoized fold of the day buckets in ``ordinals``, then ``extra``."""
+    ) -> WindowView:
+        """The memoized view of the day buckets in ``ordinals``, then ``extra``."""
         view = self._memo.get(key)
         if view is None:
             parts: Dict[str, List[KeyState]] = {}
@@ -441,35 +575,27 @@ class SlidingWindowAggregator:
                     parts.setdefault(label, []).append(state)
             for label, state in extra:
                 parts.setdefault(label, []).append(state)
-            view = self._memo[key] = {
-                label: KeyState.fold(states) for label, states in parts.items()
-            }
+            view = self._memo[key] = WindowView(self, parts)
         return view
 
-    def window_state(self, day: int, days: Optional[int] = None) -> Dict[str, KeyState]:
-        """Per-scope state of the ``days`` (default config) ending at ``day``.
-
-        A shared, read-only view (see the class docstring).
-        """
+    def window_state(self, day: int, days: Optional[int] = None) -> WindowView:
+        """Per-scope state of the ``days`` (default config) ending at ``day``."""
         n = self.config.window_days if days is None else int(days)
         lo = day - n + 1
-        return self._fold((lo, day + 1), range(lo, day + 1))
+        return self._view((lo, day + 1), range(lo, day + 1))
 
     def day_state(self, day: int) -> Dict[str, KeyState]:
         """The single-day bucket (empty dict when the day saw no rows).
 
-        The live bucket itself: shared and read-only, like the windows.
+        The live bucket itself: shared and read-only, like the views.
         """
         return self.days.get(int(day), {})
 
-    def baseline_state(self) -> Dict[str, KeyState]:
-        """Prewar-baseline state: retained tail, then compacted head.
-
-        A shared, read-only view (see the class docstring).
-        """
+    def baseline_state(self) -> WindowView:
+        """Prewar-baseline state: retained tail, then compacted head."""
         baseline = self.config.baseline_ordinals
         tail = [d for d in self.days if d in baseline]
-        return self._fold("baseline", tail, self.baseline_compact.items())
+        return self._view("baseline", tail, self.baseline_compact.items())
 
     def baseline_daily_counts(self) -> Dict[str, float]:
         """Mean rows/day per scope over the baseline period seen so far."""
@@ -478,18 +604,13 @@ class SlidingWindowAggregator:
         )
         if n_days == 0:
             return {}
-        totals: Dict[str, int] = {}
-        for label, state in self.baseline_state().items():
-            totals[label] = state.rows
-        return {label: rows / n_days for label, rows in totals.items()}
+        view = self.baseline_state()
+        return {label: view.rows(label) / n_days for label in view}
 
-    def recent_state(self, day: int) -> Dict[str, KeyState]:
-        """Trailing ``recent_days`` window *excluding* ``day`` itself.
-
-        A shared, read-only view (see the class docstring).
-        """
+    def recent_state(self, day: int) -> WindowView:
+        """Trailing ``recent_days`` window *excluding* ``day`` itself."""
         lo = day - self.config.recent_days
-        return self._fold((lo, day), range(lo, day))
+        return self._view((lo, day), range(lo, day))
 
     def recent_daily_counts(self, day: int) -> Dict[str, float]:
         """Mean rows/day per scope over the trailing reference window."""

@@ -12,6 +12,11 @@ a metric may only hold ints, floats, and strings.  Histogram sums are
 exact (:class:`ExactSum`), so the same observations give the same bytes
 however they were grouped.
 
+Every stored :class:`ExactSum` is in one canonical form, the chain of
+``math.fsum`` residuals of its values (see the class), which depends
+only on the exact sum: the live aggregator's checkpoints therefore have
+the same bytes however its rows were batched or ordered.
+
 Naming convention (see ``docs/OBSERVABILITY.md``): dotted lowercase
 ``component.measure[_unit]`` — ``ingest.rows_quarantined``,
 ``kernel.groupby_ms``, ``checkpoint.hits``.
@@ -22,8 +27,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+from repro.util.errors import NumericsError
 
 __all__ = [
     "Counter",
@@ -34,6 +40,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_METRIC",
     "diff_snapshots",
+    "histogram_snapshot",
     "percentile_from_snapshot",
 ]
 
@@ -84,20 +91,44 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
+def _canonical(terms: List[float]) -> List[float]:
+    """The canonical partials of ``sum(terms)``; consumes ``terms``.
+
+    ``s0 = fsum(terms)``, then ``s1 = fsum(terms + [-s0])``, and so on
+    until a residual is exactly 0.  Each ``s_k`` is the correctly rounded
+    value of the exact sum minus the earlier ones, so the list depends
+    only on the exact sum.  It terminates: every residual is a multiple
+    of 2**-1074 and shrinks by about 2**52 per step.  An exact sum of 0
+    is ``[]``.  A non-finite term, or an overflow on the way, raises
+    :class:`NumericsError`: the expansion only represents finite sums.
+    """
+    try:
+        s = math.fsum(terms)
+        if not math.isfinite(s):
+            raise NumericsError(f"exact sum of non-finite values ({s!r})")
+        out: List[float] = []
+        while s:
+            out.append(s)
+            terms.append(-s)
+            s = math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        raise NumericsError(f"exact sum out of range: {exc}") from exc
+    return out
+
+
 class ExactSum:
-    """An exactly-represented running sum of IEEE-754 doubles.
+    """An exactly-represented running sum of finite IEEE-754 doubles.
 
     The value is carried as a list of *partials* whose mathematical sum
     equals the true sum of everything added.  :meth:`value` is
     ``math.fsum``, which rounds any list of doubles correctly, so the
-    rendered value is exact for any list of partials.  :meth:`add` and
-    :meth:`merge` run Shewchuk's grow-expansion (the idea behind
-    ``math.fsum``) and keep a normalized, non-overlapping list
-    normalized; :meth:`of` concatenates lists and does not normalize.
-    Either way the representation is exact, so any order of any grouping
-    of the same values renders to the identical double.  :meth:`add`
-    edits the list in place, so one instance must not be fed from two
-    threads at once.
+    rendered value is exact for any list of partials.  :meth:`add`,
+    :meth:`merge` and :meth:`from_values` keep the partials in the
+    canonical form of :func:`_canonical` — the ``fsum`` residual chain,
+    a function of the exact sum alone — so any order and any grouping of
+    the same values gives the identical list.  :meth:`of` concatenates
+    lists for read-only folds and does not normalize.  Non-finite values
+    raise :class:`NumericsError`.
     """
 
     __slots__ = ("partials",)
@@ -105,25 +136,20 @@ class ExactSum:
     def __init__(self, partials: Optional[Iterable[float]] = None):
         self.partials: List[float] = list(partials) if partials else []
 
+    @classmethod
+    def from_values(cls, values: List[float]) -> "ExactSum":
+        """The canonical sum of ``values`` (a list this call consumes)."""
+        out = cls.__new__(cls)
+        out.partials = _canonical(values)
+        return out
+
     def add(self, x: float) -> None:
-        """Fold one finite double into the expansion (exact, no rounding)."""
-        partials = self.partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
+        """Fold one finite double in (exact, no rounding)."""
+        self.partials = _canonical(self.partials + [x])
 
     def merge(self, other: "ExactSum") -> None:
-        """Fold another expansion in; exactness is preserved."""
-        for p in other.partials:
-            self.add(p)
+        """Fold another sum in; exactness is preserved."""
+        self.partials = _canonical(self.partials + other.partials)
 
     @classmethod
     def of(cls, sums: Iterable["ExactSum"]) -> "ExactSum":
@@ -157,10 +183,12 @@ class Histogram:
     """Fixed-bucket histogram with exact-sum/count/min/max sidecars.
 
     ``bounds`` are inclusive upper edges; one overflow bucket catches
-    everything above the last bound.  NaN observations are skipped.  The
-    sum is an :class:`ExactSum`, so :meth:`merge` is exact bucket-wise
-    addition and any grouping of the same observations snapshots to the
-    same bytes — the live aggregator's chunking invariance rests on it.
+    everything above the last bound.  NaN observations are skipped, and
+    ±inf raises :class:`NumericsError` (the exact sum holds finite values
+    only).  The sum is an :class:`ExactSum`, so :meth:`merge` is exact
+    bucket-wise addition and any grouping of the same observations
+    snapshots to the same bytes.  Its JSON form is :func:`histogram_snapshot`, which the
+    live aggregator's per-stream bucket counts render through too.
     Two runs with the same bounds compare bucket-by-bucket; merging
     histograms with different bounds is a hard error, because silently
     rebinning would fabricate data.
@@ -185,9 +213,9 @@ class Histogram:
         v = float(v)
         if math.isnan(v):
             return
+        self.total.add(v)
         self.bucket_counts[bisect_left(self.bounds, v)] += 1
         self.count += 1
-        self.total.add(v)
         if v < self.vmin:
             self.vmin = v
         if v > self.vmax:
@@ -208,36 +236,6 @@ class Histogram:
             self.vmin = other.vmin
         if other.vmax > self.vmax:
             self.vmax = other.vmax
-
-    @classmethod
-    def fold(cls, hists: Sequence["Histogram"]) -> "Histogram":
-        """A new histogram of every observation in ``hists`` (at least one).
-
-        Snapshots to the same bytes as merging them one by one into an
-        empty histogram: bucket counts add, the range widens, and the sum
-        is :meth:`ExactSum.of` theirs.  Name and bounds come from the
-        first; different bounds raise ``ValueError`` as in :meth:`merge`.
-        """
-        first = hists[0]
-        counts = [0] * len(first.bucket_counts)
-        n, vmin, vmax = 0, math.inf, -math.inf
-        for h in hists:
-            if h.bounds != first.bounds:
-                raise ValueError(
-                    f"cannot fold histograms with different bounds: "
-                    f"{first.bounds} vs {h.bounds}"
-                )
-            counts = list(map(add, counts, h.bucket_counts))
-            n += h.count
-            if h.vmin < vmin:
-                vmin = h.vmin
-            if h.vmax > vmax:
-                vmax = h.vmax
-        out = cls.__new__(cls)
-        out.name, out.bounds, out.bucket_counts = first.name, first.bounds, counts
-        out.count, out.vmin, out.vmax = n, vmin, vmax
-        out.total = ExactSum.of([h.total for h in hists])
-        return out
 
     @property
     def mean(self) -> float:
@@ -265,41 +263,39 @@ class Histogram:
         )
 
     def snapshot(self) -> Dict[str, object]:
-        buckets: Dict[str, int] = {}
-        for bound, n in zip(self.bounds, self.bucket_counts):
-            buckets[f"le_{bound:g}"] = n
-        buckets["overflow"] = self.bucket_counts[-1]
-        return {
-            "count": self.count,
-            "sum": self.total.value(),
-            "min": self.vmin if self.count else None,
-            "max": self.vmax if self.count else None,
-            "buckets": buckets,
-        }
-
-    def to_state(self) -> Dict[str, object]:
-        """JSON-ready checkpoint form; :meth:`from_state` inverts it."""
-        return {
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "total": self.total.to_state(),
-            "min": None if self.count == 0 else self.vmin,
-            "max": None if self.count == 0 else self.vmax,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object], name: str) -> "Histogram":
-        out = cls(name, state["bounds"])
-        out.bucket_counts = [int(n) for n in state["bucket_counts"]]
-        out.count = int(state["count"])
-        out.total = ExactSum.from_state(state["total"])
-        out.vmin = math.inf if state["min"] is None else float(state["min"])
-        out.vmax = -math.inf if state["max"] is None else float(state["max"])
-        return out
+        return histogram_snapshot(
+            self.bounds, self.bucket_counts, self.count, self.total,
+            self.vmin, self.vmax,
+        )
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3g})"
+
+
+def histogram_snapshot(
+    bounds: Sequence[float],
+    bucket_counts: Sequence[int],
+    count: int,
+    total: ExactSum,
+    vmin: float,
+    vmax: float,
+) -> Dict[str, object]:
+    """The one JSON form of a histogram, for the registry and the live views.
+
+    ``bucket_counts`` has one entry per bound plus the overflow bucket;
+    ``min``/``max`` render as None while ``count`` is 0.
+    """
+    buckets: Dict[str, int] = {}
+    for bound, n in zip(bounds, bucket_counts):
+        buckets[f"le_{bound:g}"] = n
+    buckets["overflow"] = bucket_counts[-1]
+    return {
+        "count": count,
+        "sum": total.value(),
+        "min": vmin if count else None,
+        "max": vmax if count else None,
+        "buckets": buckets,
+    }
 
 
 def _percentile_from_buckets(

@@ -25,13 +25,13 @@ STR columns never decode here — everything runs on dictionary codes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.obs.metrics import ExactSum
 from repro.tables.column import NULL_CODE, Column
 from repro.tables.schema import DType
 
@@ -45,6 +45,7 @@ __all__ = [
     "group_first_index",
     "group_min",
     "group_max",
+    "GroupMoments",
     "group_moments_exact",
     "group_nunique",
     "group_reduce_batched",
@@ -257,39 +258,100 @@ def group_nunique(fact: Factorized, col: Column) -> np.ndarray:
     return np.bincount(pairs // card, minlength=fact.n_groups).astype(np.int64)
 
 
-def group_moments_exact(
-    values: np.ndarray, order: np.ndarray, starts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-group moments: ``(count, sum, sumsq, min, max)``.
+@dataclass(frozen=True)
+class GroupMoments:
+    """Exact per-group moments of one value stream (:func:`group_moments_exact`).
 
-    NaN-ignoring.  Both sums use ``math.fsum`` over the group's run, so
-    each is the correctly rounded double of the exact mathematical sum —
-    independent of row order or chunking.  This is the batch counterpart
-    of :class:`repro.obs.live.window.MomentState`: a streaming aggregate
-    merged across any partition of the same rows reproduces these arrays
-    bit-for-bit.  Empty (all-NaN) groups yield sum/sumsq 0.0 and min/max
-    NaN.
+    An empty (all-NaN) group has count 0, empty sums, min ``+inf`` and
+    max ``-inf``: the identities of a merge, so states built from it
+    merge like any other.
     """
-    vals = values.astype(np.float64)[order]
+
+    counts: np.ndarray  #: finite values per group (int64)
+    sums: List[ExactSum]  #: canonical Σx per group
+    sumsqs: List[ExactSum]  #: canonical Σx² per group
+    mins: np.ndarray
+    maxs: np.ndarray
+    #: ``(groups, len(bounds) + 1)`` bucket counts when bounds were given
+    buckets: Optional[np.ndarray] = None
+
+
+def _first_zero_wins(vals: np.ndarray, gids: np.ndarray, extreme: np.ndarray) -> None:
+    """Where a group's extreme is a zero, make it the run's first zero.
+
+    ``0.0`` and ``-0.0`` compare equal, and numpy does not promise which
+    one ``minimum``/``maximum`` return.  A running strict ``<`` (or
+    ``>``) keeps the first value it saw, so the sign is the first zero's.
+    """
+    tied = extreme == 0.0
+    if not tied.any():
+        return
+    zeros = np.flatnonzero(vals == 0.0)
+    groups, first = np.unique(gids[zeros], return_index=True)
+    hit = tied[groups]
+    extreme[groups[hit]] = vals[zeros[first[hit]]]
+
+
+def group_moments_exact(
+    values: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    bounds: Optional[Sequence[float]] = None,
+) -> GroupMoments:
+    """Exact per-group count, Σx, Σx², min, max and bucket counts.
+
+    Group ``g`` is ``values[order[starts[g]:starts[g + 1]]]``; ``order``
+    may repeat a row, so one row can sit in several groups.  NaNs are
+    skipped; ±inf, or a sum that overflows, raises ``NumericsError``.
+    Both sums are in the canonical :class:`ExactSum` form, so
+    they depend only on the exact value: any partition of the same rows,
+    in any order, merges to the same partials.  Each ``x*x`` is one IEEE
+    multiplication, identical to the scalar product.  Min and max keep
+    the first of tied zeros in run order, as a running strict comparison
+    does.  ``bounds`` (inclusive upper edges, ascending) add bucket
+    counts with one overflow bucket, bucketed as ``bisect_left``.  One
+    pass for all groups: the Python work is one ``math.fsum`` chain per
+    group and sum.
+    """
+    vals = np.asarray(values, dtype=np.float64)[np.asarray(order, dtype=np.int64)]
     n_groups = len(starts)
-    counts = np.zeros(n_groups, dtype=np.int64)
-    sums = np.zeros(n_groups, dtype=np.float64)
-    sumsqs = np.zeros(n_groups, dtype=np.float64)
-    mins = np.full(n_groups, np.nan)
-    maxs = np.full(n_groups, np.nan)
-    bounds = np.append(starts, len(vals))
-    for g in range(n_groups):
-        seg = vals[bounds[g] : bounds[g + 1]]
-        seg = seg[~np.isnan(seg)]
-        if len(seg) == 0:
-            continue
-        counts[g] = len(seg)
-        floats = [float(v) for v in seg]
-        sums[g] = math.fsum(floats)
-        sumsqs[g] = math.fsum(v * v for v in floats)
-        mins[g] = float(np.min(seg))
-        maxs[g] = float(np.max(seg))
-    return counts, sums, sumsqs, mins, maxs
+    gids = np.repeat(
+        np.arange(n_groups, dtype=np.int64),
+        np.diff(np.append(np.asarray(starts, dtype=np.int64), len(vals))),
+    )
+    finite = ~np.isnan(vals)
+    if not finite.all():
+        vals, gids = vals[finite], gids[finite]
+    counts = np.bincount(gids, minlength=n_groups).astype(np.int64)
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    mins = np.full(n_groups, np.inf)
+    maxs = np.full(n_groups, -np.inf)
+    filled = np.flatnonzero(counts)
+    if len(filled):
+        mins[filled] = np.minimum.reduceat(vals, begins[filled])
+        maxs[filled] = np.maximum.reduceat(vals, begins[filled])
+        _first_zero_wins(vals, gids, mins)
+        _first_zero_wins(vals, gids, maxs)
+    flat = vals.tolist()
+    with np.errstate(over="ignore"):  # an infinite square raises below
+        squares = (vals * vals).tolist()
+    runs = list(zip(begins.tolist(), ends.tolist()))
+    buckets = None
+    if bounds is not None:
+        width = len(bounds) + 1
+        slot = np.searchsorted(np.asarray(bounds, dtype=np.float64), vals, side="left")
+        buckets = np.bincount(
+            gids * width + slot, minlength=n_groups * width
+        ).reshape(n_groups, width)
+    return GroupMoments(
+        counts=counts,
+        sums=[ExactSum.from_values(flat[a:b]) for a, b in runs],
+        sumsqs=[ExactSum.from_values(squares[a:b]) for a, b in runs],
+        mins=mins,
+        maxs=maxs,
+        buckets=buckets,
+    )
 
 
 def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:

@@ -27,10 +27,8 @@ __all__ = [
     "GateResult",
     "Rule",
     "ValidationReport",
-    "finite",
     "in_range",
     "non_empty",
-    "not_null",
     "positive",
     "unique",
     "validate_table",
@@ -72,15 +70,6 @@ class Rule:
         return mask
 
 
-def finite(column: str) -> Rule:
-    """FLOAT column must not hold NaN/inf (NULL metrics in real extracts)."""
-    return Rule(
-        f"{column}:not-finite",
-        (column,),
-        lambda t: ~np.isfinite(t.column(column).values.astype(np.float64)),
-    )
-
-
 def positive(column: str) -> Rule:
     """Numeric column must be strictly positive and finite."""
 
@@ -117,15 +106,6 @@ def within(column: str, windows: Sequence) -> Rule:
         return ~ok
 
     return Rule(f"{column}:outside-study-windows", (column,), check)
-
-
-def not_null(column: str) -> Rule:
-    """STR column must not be None."""
-    return Rule(
-        f"{column}:null",
-        (column,),
-        lambda t: t.column(column).isnull(),
-    )
 
 
 def non_empty(column: str) -> Rule:

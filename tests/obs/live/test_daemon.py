@@ -6,10 +6,12 @@ same replay, and (c) a run killed mid-replay at an announced crash point
 and resumed from its last checkpoint.
 """
 
+import numpy as np
 import pytest
 
 from repro.faults.crashpoints import SimulatedCrash, crash_spec_scope
-from repro.obs.live.daemon import LiveDaemon
+from repro.obs.live import daemon as daemon_module
+from repro.obs.live.daemon import STATE_STAGE, LiveDaemon, StateVersionError
 from repro.obs.live.source import ReplaySource
 from repro.obs.metrics import snapshot_to_json
 
@@ -54,6 +56,32 @@ class TestByteIdentity:
         # replay the determinism suite uses; the full-timeline acceptance
         # test pins the complete timeline at the benchmark scale.
         assert b"throughput-degradation:national:2022-02-24" in reference[0]
+
+
+def state_bytes(daemon):
+    return snapshot_to_json(daemon.to_state()).encode("utf-8")
+
+
+class TestCheckpointBytes:
+    """Canonical sums make the checkpointed state a function of the rows."""
+
+    @pytest.fixture(scope="class")
+    def reference_state(self, live_table):
+        return state_bytes(run_daemon(live_table))
+
+    @pytest.mark.parametrize("batch_rows", [1, 7])
+    def test_any_batching_checkpoints_the_same_bytes(
+        self, live_table, reference_state, batch_rows
+    ):
+        daemon = run_daemon(live_table, batch_rows=batch_rows)
+        assert state_bytes(daemon) == reference_state
+
+    def test_rows_shuffled_within_a_day_checkpoint_the_same_bytes(
+        self, live_table, reference_state
+    ):
+        rng = np.random.Generator(np.random.PCG64(5))
+        shuffled = live_table.take(rng.permutation(live_table.n_rows))
+        assert state_bytes(run_daemon(shuffled)) == reference_state
 
 
 class TestCheckpointResume:
@@ -119,3 +147,40 @@ class TestCheckpointResume:
         resumed.resume()
         resumed.run()
         assert alerts_bytes(resumed) == reference[0]
+
+
+class TestStateVersion:
+    @pytest.fixture(scope="class")
+    def v1_state(self, live_table):
+        state = run_daemon(live_table).to_state()
+        state["schema_version"] = 1
+        return state
+
+    def test_a_v1_state_is_refused(self, live_table, v1_state):
+        daemon = LiveDaemon(ReplaySource(live_table, START, END))
+        with pytest.raises(StateVersionError):
+            daemon.restore(v1_state)
+
+    def test_a_v1_checkpoint_under_this_key_is_refused_on_resume(
+        self, live_table, v1_state, tmp_path
+    ):
+        daemon = LiveDaemon(ReplaySource(live_table, START, END),
+                            checkpoint_dir=str(tmp_path))
+        daemon.store.save(daemon.key, STATE_STAGE, v1_state)
+        with pytest.raises(StateVersionError):
+            daemon.resume()
+
+    def test_the_version_is_part_of_the_checkpoint_key(
+        self, live_table, v1_state, reference, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(daemon_module, "STATE_SCHEMA", 1)
+        old = LiveDaemon(ReplaySource(live_table, START, END),
+                         checkpoint_dir=str(tmp_path))
+        old.store.save(old.key, STATE_STAGE, v1_state)
+        monkeypatch.undo()
+        new = LiveDaemon(ReplaySource(live_table, START, END),
+                         checkpoint_dir=str(tmp_path))
+        assert new.key != old.key
+        assert not new.resume()  # the v1 state is never found
+        new.run()
+        assert alerts_bytes(new) == reference[0]

@@ -12,15 +12,16 @@ from repro.obs.live.detect import (
     build_alerts_doc,
     validate_alerts_doc,
 )
-from repro.obs.live.window import KeyState
+from repro.obs.live.window import ScopeKey, batch_states
 from repro.util.errors import ReproError
 from repro.util.timeutil import Day
 
 
 def keystate(tputs, rtt=20.0, loss=0.0):
-    state = KeyState()
-    for t in tputs:
-        state.update(t, rtt, loss)
+    n = len(tputs)
+    [(_, state)] = batch_states(
+        (ScopeKey("national", ""),), tputs, [rtt] * n, [loss] * n, (range(n),)
+    )
     return state
 
 

@@ -12,24 +12,35 @@ health service that is never started:
 * ``window``: the final ``window_snapshot()``.
 
 Speed-ups to window assembly, detection or publication must leave them
-alone.  Re-baselining on purpose -- a change that is meant to alter what
-the daemon publishes or checkpoints, such as a new rule, view or state
+alone.  ``PINNED_WORK`` also pins how much window work the replay does:
+``live.window.views`` (views assembled) and ``live.window.folds`` (scope
+states folded from two or more day states).  Views fold a scope only
+when it is read, so folding every scope of every view again, or any
+other new fold, moves it.
+
+Re-baselining on purpose -- a change that is meant to alter what the
+daemon publishes or checkpoints, such as a new rule, view or state
 field -- goes like this: print the new values with::
 
     PYTHONPATH=src:tests/obs/live python -c "
     import tempfile
+    from repro import obs
     from test_replay_fingerprint import replay_digests
     from repro.synth import DatasetGenerator, GeneratorConfig
     ds = DatasetGenerator(GeneratorConfig(seed=20220224, scale=0.05)).generate()
-    print(replay_digests(ds.ndt, tempfile.mkdtemp()))"
+    obs.enable(trace=False, metrics=True)
+    print(replay_digests(ds.ndt, tempfile.mkdtemp()))
+    print(obs.metrics_snapshot()['counters'])"
 
-paste them below, and say so in the change's description.
+paste them below (the ``live.window.*`` counters into ``PINNED_WORK``),
+and say so in the change's description.
 """
 
 import hashlib
 
 import pytest
 
+from repro import obs
 from repro.obs.live.daemon import LiveDaemon
 from repro.obs.live.service import HealthService
 from repro.obs.live.source import ReplaySource
@@ -41,11 +52,13 @@ START, END = "2022-01-01", "2022-04-18"
 PINNED = {
     "alerts": "20eb204f17a64e881cead4495b3bd990a9c2fa9c050dd7feb57cdacdefa8aaf7",
     "views": "bbf2c2ef7a6120d3f37e08441076298a10d7551fbc2377daaa8a2d0eef76a733",
-    "checkpoints": "cbbf77f44fe312b97c67a39d0909a6bf8ab8ece0f14dd3d747d72606d1a6bbd7",
+    "checkpoints": "b03c3f72918387bb7e451de0768a9c1cbdcf2a8b57e2d8cd37b2cd9edeb10931",
     "window": "aaae41c6e9b8d4ddc603cc63ac8f97e1cfcfda45163fd1589a59299888466192",
 }
 #: Alerts raised, view-sets published and checkpoints written.
 PINNED_COUNTS = {"alerts": 32, "views": 108, "checkpoints": 16}
+#: Window views assembled and scope states folded over the replay.
+PINNED_WORK = {"live.window.folds": 2999, "live.window.views": 324}
 
 
 class _RecordingDaemon(LiveDaemon):
@@ -97,7 +110,17 @@ def replay_digests(table, checkpoint_dir):
 
 @pytest.fixture(scope="module")
 def replay(live_dataset, tmp_path_factory):
-    return replay_digests(live_dataset.ndt, tmp_path_factory.mktemp("live"))
+    """(digests, counts, window work counters) of one metered replay."""
+    obs.reset()
+    obs.enable(trace=False, metrics=True)
+    try:
+        digests, counts = replay_digests(
+            live_dataset.ndt, tmp_path_factory.mktemp("live")
+        )
+        counters = obs.metrics_snapshot()["counters"]
+    finally:
+        obs.reset()
+    return digests, counts, {name: counters.get(name, 0) for name in PINNED_WORK}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -107,3 +130,7 @@ def test_replay_output_pinned(replay, name):
 
 def test_replay_counts_pinned(replay):
     assert replay[1] == PINNED_COUNTS
+
+
+def test_replay_window_work_pinned(replay):
+    assert replay[2] == PINNED_WORK

@@ -7,6 +7,7 @@ lives in ``benchmarks/test_live_service.py``.
 """
 
 import json
+import socket
 import threading
 import urllib.parse
 import urllib.request
@@ -14,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.obs.live.daemon import LiveDaemon
-from repro.obs.live.service import HealthService
+from repro.obs.live.service import HealthService, _Handler, _Server
 from repro.obs.live.source import ReplaySource
 
 
@@ -132,3 +133,18 @@ class TestHttpRoundTrip:
             assert len(results) == 32
         finally:
             service.stop()
+
+    def test_a_burst_of_connections_waits_in_the_backlog(self):
+        # Nothing accepts, so all 32 connections must fit the listen
+        # backlog; a dropped one would only connect on a retry 1 s later.
+        server = _Server(("127.0.0.1", 0), _Handler)
+        clients = []
+        try:
+            for _ in range(32):
+                clients.append(
+                    socket.create_connection(server.server_address, timeout=0.5)
+                )
+        finally:
+            for client in clients:
+                client.close()
+            server.server_close()

@@ -20,6 +20,7 @@ from repro.obs.metrics import (
     percentile_from_snapshot,
     snapshot_to_json,
 )
+from repro.util.errors import NumericsError
 
 
 class TestCounterGauge:
@@ -65,6 +66,15 @@ class TestHistogram:
     def test_needs_at_least_one_bound(self):
         with pytest.raises(ValueError, match="at least one bound"):
             Histogram("h", bounds=[])
+
+    def test_infinite_observation_raises_and_changes_nothing(self):
+        h = Histogram("h", bounds=[1.0])
+        h.observe(0.5)
+        before = h.snapshot()
+        for v in (math.inf, -math.inf):
+            with pytest.raises(NumericsError):
+                h.observe(v)
+        assert h.snapshot() == before
 
 
 class TestPercentile:

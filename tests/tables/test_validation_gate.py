@@ -11,10 +11,8 @@ from repro.tables import DType, Table
 from repro.tables.validate import (
     REASON_COLUMN,
     Rule,
-    finite,
     in_range,
     non_empty,
-    not_null,
     positive,
     unique,
     validate_table,
@@ -48,11 +46,6 @@ def table():
 
 
 class TestRules:
-    def test_finite(self, table):
-        assert finite("tput").bad_mask(table).tolist() == [
-            False, True, False, False, False,
-        ]
-
     def test_positive(self, table):
         assert positive("tput").bad_mask(table).tolist() == [
             False, True, True, False, False,
@@ -66,11 +59,6 @@ class TestRules:
     def test_within(self, table):
         mask = within("day", [(10, 12)]).bad_mask(table)
         assert mask.tolist() == [False, False, False, True, False]
-
-    def test_not_null(self, table):
-        assert not_null("city").bad_mask(table).tolist() == [
-            False, True, False, False, False,
-        ]
 
     def test_unique_keeps_first_occurrence(self, table):
         assert unique("test_id").bad_mask(table).tolist() == [
