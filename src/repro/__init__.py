@@ -11,6 +11,9 @@ Quickstart
 >>> dataset = DatasetGenerator(GeneratorConfig(scale=0.2)).generate()
 >>> print(full_report(dataset))  # doctest: +SKIP
 
+``full_report`` runs the 18 experiments and prints what ``repro report``
+prints, without the run report.
+
 Layers (bottom-up): :mod:`repro.util`, :mod:`repro.tables`,
 :mod:`repro.stats`, :mod:`repro.netbase`, :mod:`repro.geo`,
 :mod:`repro.conflict`, :mod:`repro.topology`, :mod:`repro.mlab`,
@@ -19,9 +22,8 @@ Layers (bottom-up): :mod:`repro.util`, :mod:`repro.tables`,
 :mod:`repro.viz`.
 """
 
-from repro.analysis.report import full_report
 from repro.faults import get_profile
-from repro.runtime.run import run_pipeline
+from repro.runtime.run import full_report, run_pipeline
 from repro.synth.generator import Dataset, DatasetGenerator, GeneratorConfig, study_periods
 from repro.synth.scenario import Scenario, scenario_config
 from repro.topology.builder import Topology, build_default_topology

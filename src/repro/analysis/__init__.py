@@ -13,8 +13,13 @@ Module                Paper artifact
 ``border``            Figure 5 (border-AS heatmap)
 ``casestudy``         Figure 6 (AS 199995 / Hurricane Electric)
 ``distros``           Figures 7-8 (metric distributions)
-``report``            everything, as text
+``report``            every section of ``repro report`` as text
 ====================  ==========================================
+
+``report`` holds one function per section, the four extension sections
+included; :func:`repro.full_report` and ``repro report`` run and render
+them through :mod:`repro.runtime.experiments`, so both print the same
+document.
 
 Extension modules (the paper's future-work items): ``outages`` (date-level
 anomaly detection), ``events_impact`` (event study), ``routing_churn``

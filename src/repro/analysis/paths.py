@@ -11,7 +11,7 @@ corresponding throughput drop and loss increase.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -166,18 +166,17 @@ def _period_connection_stats(sliced: Table) -> Dict[ConnKey, dict]:
     return out
 
 
-def _per_connection_deltas(
-    ndt: Table, traces: Table, min_tests: int, rarefy: bool = False
-) -> Dict[str, list]:
-    """Per-connection (Δpaths, Δtput, Δloss) for persistent connections.
+def _persistent_connections(
+    ndt: Table, traces: Table, min_tests: int, where: str
+) -> List[Tuple[dict, dict]]:
+    """(prewar, wartime) stats of every persistent connection.
 
-    With ``rarefy=True``, the path-count difference compares *expected*
-    distinct paths at equal sampling depth (the smaller period's test
-    count) — removing the more-tests-see-more-paths artifact that would
-    otherwise confound the correlation.
+    A connection is persistent with at least ``min_tests`` tests in each
+    period.  Both tables pass their guards under the caller's ``where``
+    name; the pairs come in the connections' first-seen order.
     """
-    ndt = clean_ndt(ndt, "path_performance_correlation")
-    traces = clean_traces(traces, "path_performance_correlation")
+    ndt = clean_ndt(ndt, where)
+    traces = clean_traces(traces, where)
     merged = join(
         traces.select(["test_id", "client_ip", "server_ip", "path", "day"]),
         ndt.select(["test_id", Cols.TPUT, Cols.LOSS_RATE]),
@@ -189,28 +188,14 @@ def _per_connection_deltas(
             slice_period(merged, period)
         ).items():
             per_conn.setdefault(key, {})[period] = stats
-    deltas: Dict[str, list] = {"d_paths": [], "d_tput": [], "d_loss": []}
-    for entry in per_conn.values():
-        if "prewar" not in entry or "wartime" not in entry:
-            continue
-        pre, war = entry["prewar"], entry["wartime"]
-        if pre["tests"] < min_tests or war["tests"] < min_tests:
-            continue
-        if rarefy:
-            depth = min(pre["tests"], war["tests"])
-            d_paths = _expected_distinct(
-                list(war["paths"].values()), depth
-            ) - _expected_distinct(list(pre["paths"].values()), depth)
-        else:
-            d_paths = len(war["paths"]) - len(pre["paths"])
-        deltas["d_paths"].append(d_paths)
-        deltas["d_tput"].append(
-            war["tput"] / war["tests"] - pre["tput"] / pre["tests"]
-        )
-        deltas["d_loss"].append(
-            war["loss"] / war["tests"] - pre["loss"] / pre["tests"]
-        )
-    return deltas
+    return [
+        (entry["prewar"], entry["wartime"])
+        for entry in per_conn.values()
+        if "prewar" in entry
+        and "wartime" in entry
+        and entry["prewar"]["tests"] >= min_tests
+        and entry["wartime"]["tests"] >= min_tests
+    ]
 
 
 def path_performance_correlation(
@@ -227,15 +212,25 @@ def path_performance_correlation(
     """
     from repro.stats.correlation import spearman
 
-    deltas = _per_connection_deltas(ndt, traces, min_tests, rarefy=True)
-    if len(deltas["d_paths"]) < 3:
+    d_paths, d_tput, d_loss = [], [], []
+    for pre, war in _persistent_connections(
+        ndt, traces, min_tests, "path_performance_correlation"
+    ):
+        depth = min(pre["tests"], war["tests"])
+        d_paths.append(
+            _expected_distinct(list(war["paths"].values()), depth)
+            - _expected_distinct(list(pre["paths"].values()), depth)
+        )
+        d_tput.append(war["tput"] / war["tests"] - pre["tput"] / pre["tests"])
+        d_loss.append(war["loss"] / war["tests"] - pre["loss"] / pre["tests"])
+    if len(d_paths) < 3:
         raise AnalysisError(
             "too few persistent connections for a correlation; lower min_tests"
         )
     return {
-        "tput": spearman(deltas["d_paths"], deltas["d_tput"]),
-        "loss": spearman(deltas["d_paths"], deltas["d_loss"]),
-        "n": len(deltas["d_paths"]),
+        "tput": spearman(d_paths, d_tput),
+        "loss": spearman(d_paths, d_loss),
+        "n": len(d_paths),
     }
 
 
@@ -253,27 +248,10 @@ def path_performance(
     Output columns: ``d_paths``, ``n_connections``, ``d_tput_mbps``,
     ``d_loss``, ``p_tput``, ``p_loss``.
     """
-    ndt = clean_ndt(ndt, "path_performance")
-    traces = clean_traces(traces, "path_performance")
-    merged = join(
-        traces.select(["test_id", "client_ip", "server_ip", "path", "day"]),
-        ndt.select(["test_id", Cols.TPUT, Cols.LOSS_RATE]),
-        on="test_id",
-    )
-    per_conn: Dict[ConnKey, Dict[str, dict]] = {}
-    for period in ("prewar", "wartime"):
-        for key, stats in _period_connection_stats(
-            slice_period(merged, period)
-        ).items():
-            per_conn.setdefault(key, {})[period] = stats
-
     buckets: Dict[int, Dict[str, list]] = {}
-    for entry in per_conn.values():
-        if "prewar" not in entry or "wartime" not in entry:
-            continue
-        pre, war = entry["prewar"], entry["wartime"]
-        if pre["tests"] < min_tests or war["tests"] < min_tests:
-            continue
+    for pre, war in _persistent_connections(
+        ndt, traces, min_tests, "path_performance"
+    ):
         d_paths = len(war["paths"]) - len(pre["paths"])
         bucket = buckets.setdefault(d_paths, {"d_tput": [], "d_loss": []})
         bucket["d_tput"].append(war["tput"] / war["tests"] - pre["tput"] / pre["tests"])

@@ -1,10 +1,16 @@
-"""Full-report assembly: every table and figure of the paper as text."""
+"""The report's section functions: each paper artifact as a block of text.
+
+One function per table or figure group, each mapping a
+:class:`~repro.synth.generator.Dataset` to the text the report prints for
+it, plus the four extension sections (route churn, event study, outage
+days, rDNS geolocation).  :func:`repro.runtime.experiments.experiment_registry`
+names them as the 18 experiments, and the runtime runs and renders them:
+``repro report`` and :func:`repro.full_report` print the same document.
+"""
 
 from __future__ import annotations
 
 from typing import List
-
-import numpy as np
 
 from repro import obs
 from repro.analysis.asn_metrics import (
@@ -19,18 +25,25 @@ from repro.analysis.casestudy import inbound_weekly
 from repro.analysis.city import city_welch_table, siege_city_counts
 from repro.analysis.common import client_as_column
 from repro.analysis.distros import metric_histogram
+from repro.analysis.events_impact import event_impact_table
+from repro.analysis.hopgeo import gateway_city_agreement
 from repro.analysis.national import invasion_day_ordinal, national_daily
+from repro.analysis.outages import detect_outage_days
 from repro.analysis.paths import path_count_table, path_performance
 from repro.analysis.regional import oblast_changes, oblast_summary, zone_average_changes
+from repro.analysis.routing_churn import churn_summary, daily_route_churn
+from repro.conflict import default_timeline
 from repro.synth.generator import Dataset
 from repro.tables.expr import col
 from repro.tables.pretty import format_table
+from repro.util.errors import AnalysisError
 from repro.viz.asciichart import line_chart
 from repro.viz.bars import bar_chart
 from repro.viz.heatmap import heatmap
 from repro.tables.schema import Cols
 
-__all__ = ["full_report"]
+#: No public names: ``experiment_registry()`` is how callers reach the sections.
+__all__: List[str] = []
 
 
 @obs.traced("analysis.fig2")
@@ -139,7 +152,7 @@ def _table2_fig9(dataset: Dataset) -> str:
                 float_fmt=".2f",
             ),
         ]
-    except Exception as exc:  # small datasets may lack persistent connections
+    except AnalysisError as exc:  # small datasets may lack persistent connections
         parts.append(f"(Figure 9 skipped: {exc})")
     return "\n".join(parts)
 
@@ -249,87 +262,37 @@ def _figs7_8(dataset: Dataset) -> str:
     return "\n".join(parts)
 
 
-@obs.traced("analysis.extensions")
-def _extensions(dataset: Dataset) -> str:
-    from repro.analysis.events_impact import event_impact_table
-    from repro.analysis.outages import detect_outage_days
-    from repro.analysis.paths import path_performance_correlation
-    from repro.analysis.protocol import cca_mix_stable, protocol_mix_table
-    from repro.conflict import default_timeline
-
-    parts = ["== Extensions (the paper's future-work items) =="]
-    try:
-        days = detect_outage_days(dataset.ndt)
-        parts.append(f"outage-shaped days (count spike + tput dip): {days or 'none'}")
-    except Exception as exc:
-        parts.append(f"(outage detection skipped: {exc})")
-    try:
-        impact = event_impact_table(
-            dataset.ndt, default_timeline(), dataset.topology.gazetteer
-        )
-        significant = impact.filter(col("significant") == True)  # noqa: E712
-        parts.append("-- significant event impacts (+/-7d Welch) --")
-        parts.append(
-            format_table(
-                significant,
-                columns=["date", "event", "metric", "mean_before", "mean_after",
-                         "p_value"],
-                float_fmts={"p_value": ".1e"},
-                float_fmt=".3f",
-                max_rows=15,
-            )
-        )
-    except Exception as exc:
-        parts.append(f"(event study skipped: {exc})")
-    try:
-        corr = path_performance_correlation(dataset.ndt, dataset.traces)
-        parts.append(
-            f"rarefied Figure-9 correlation over {corr['n']} connections: "
-            f"d_paths~d_tput rho={corr['tput'].coefficient:+.3f} "
-            f"({corr['tput'].strength}), d_paths~d_loss "
-            f"rho={corr['loss'].coefficient:+.3f} ({corr['loss'].strength})"
-        )
-    except Exception as exc:
-        parts.append(f"(path correlation skipped: {exc})")
-    try:
-        stable = cca_mix_stable(dataset.ndt)
-        mix = protocol_mix_table(dataset.ndt)
-        bbr = {
-            period: share
-            for period, cca, share in zip(
-                mix.column(Cols.PERIOD).to_list(),
-                mix.column("cca").to_list(),
-                mix.column("share").to_list(),
-            )
-            if cca == "bbr"
-        }
-        parts.append(
-            f"CCA mix stable across the invasion: {stable} "
-            f"(BBR share prewar {bbr.get('prewar', float('nan')):.2f}, "
-            f"wartime {bbr.get('wartime', float('nan')):.2f}) — the paper's "
-            "Section-3 validity condition."
-        )
-    except Exception as exc:
-        parts.append(f"(protocol mix skipped: {exc})")
-    return "\n".join(parts)
+@obs.traced("analysis.churn")
+def _churn(ds: Dataset) -> str:
+    table = daily_route_churn(ds)
+    summary = churn_summary(table, ds)
+    return (
+        format_table(table, max_rows=30)
+        + f"\nmean daily route changes: prewar "
+        f"{summary['prewar_daily_changes']:.1f}, wartime "
+        f"{summary['wartime_daily_changes']:.1f} (x{summary['ratio']:.1f})"
+    )
 
 
-@obs.traced("analysis.full_report")
-def full_report(dataset: Dataset) -> str:
-    """Every reproduced table and figure, as one text document."""
-    sections = [
-        f"REPRODUCTION REPORT — {dataset.ndt.n_rows} NDT tests, "
-        f"{dataset.traces.n_rows} traceroutes "
-        f"(seed {dataset.config.seed}, scale {dataset.config.scale})",
-        _fig2(dataset),
-        _table1(dataset),
-        _fig3_table4(dataset),
-        _fig4(dataset),
-        _table2_fig9(dataset),
-        _tables_3_5_6(dataset),
-        _fig5(dataset),
-        _fig6(dataset),
-        _figs7_8(dataset),
-        _extensions(dataset),
-    ]
-    return ("\n\n" + "=" * 72 + "\n\n").join(sections)
+@obs.traced("analysis.events")
+def _events(ds: Dataset) -> str:
+    return format_table(
+        event_impact_table(ds.ndt, default_timeline(), ds.topology.gazetteer),
+        float_fmts={"p_value": ".1e"},
+        float_fmt=".3f",
+    )
+
+
+@obs.traced("analysis.outages")
+def _outages(ds: Dataset) -> str:
+    return f"outage-shaped days (2022): {detect_outage_days(ds.ndt)}"
+
+
+@obs.traced("analysis.hopgeo")
+def _hopgeo(ds: Dataset) -> str:
+    a = gateway_city_agreement(ds)
+    return (
+        f"rDNS vs geo-DB agreement: {a['agree']:.1%} over "
+        f"{a['n_compared']:.0f} tests (geo missing {a['geo_missing']:.1%}, "
+        f"PTR unusable {a['ptr_missing']:.1%})"
+    )

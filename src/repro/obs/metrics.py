@@ -185,13 +185,11 @@ class Histogram:
     ``bounds`` are inclusive upper edges; one overflow bucket catches
     everything above the last bound.  NaN observations are skipped, and
     ±inf raises :class:`NumericsError` (the exact sum holds finite values
-    only).  The sum is an :class:`ExactSum`, so :meth:`merge` is exact
-    bucket-wise addition and any grouping of the same observations
-    snapshots to the same bytes.  Its JSON form is :func:`histogram_snapshot`, which the
-    live aggregator's per-stream bucket counts render through too.
-    Two runs with the same bounds compare bucket-by-bucket; merging
-    histograms with different bounds is a hard error, because silently
-    rebinning would fabricate data.
+    only).  The sum is an :class:`ExactSum`, so the same observations
+    snapshot to the same bytes in any order.  Its JSON form is
+    :func:`histogram_snapshot`, which the live aggregator's per-stream
+    bucket counts render through too.  Two runs with the same bounds
+    compare bucket-by-bucket.
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "vmin", "vmax")
@@ -220,22 +218,6 @@ class Histogram:
             self.vmin = v
         if v > self.vmax:
             self.vmax = v
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` in: bucket-wise addition, exact sum, widened range."""
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        self.count += other.count
-        self.total.merge(other.total)
-        if other.vmin < self.vmin:
-            self.vmin = other.vmin
-        if other.vmax > self.vmax:
-            self.vmax = other.vmax
 
     @property
     def mean(self) -> float:

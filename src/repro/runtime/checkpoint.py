@@ -117,7 +117,7 @@ class CheckpointStore:
             if self.codec == "json":
                 return json.loads(payload.decode("utf-8"))
             return pickle.loads(payload)
-        except Exception as exc:  # pickle raises wildly varied types
+        except Exception as exc:  # repro-lint: disable=typed-errors (pickle errors vary)
             raise CheckpointCorruptError(
                 path, f"checkpoint for stage {stage!r} does not decode: {exc}"
             ) from exc

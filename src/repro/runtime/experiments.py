@@ -1,74 +1,39 @@
 """The 18 named experiments, runnable individually with graceful degradation.
 
 Each experiment maps a :class:`~repro.synth.generator.Dataset` to the text
-section the paper's report prints for it.  :func:`run_experiments` executes
-any subset through the pipeline runner with ``allow_failure=True``: one
-experiment dying (with its traceback captured in the run report) never
-stops the other seventeen.
+section the paper's report prints for it; the section functions live in
+:mod:`repro.analysis.report`.  :func:`experiment_stages` turns any subset
+into pipeline stages with ``allow_failure=True``: one experiment dying
+(with its traceback captured in the run report) never stops the other
+seventeen.  :func:`~repro.runtime.run.run_pipeline` appends them after
+ingest, and :func:`run_experiments` runs them over a dataset in hand.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.runtime.pipeline import PipelineRunner, RunReport, Stage
 from repro.synth.generator import Dataset
-from repro.tables.pretty import format_table
 from repro.util.errors import PipelineError
 
-__all__ = ["EXPERIMENT_NAMES", "experiment_registry", "run_experiments"]
+__all__ = [
+    "EXPERIMENT_NAMES",
+    "experiment_registry",
+    "experiment_stages",
+    "run_experiments",
+]
 
 ExperimentFn = Callable[[Dataset], str]
 
 
-@obs.traced("analysis.churn")
-def _churn(ds: Dataset) -> str:
-    from repro.analysis.routing_churn import churn_summary, daily_route_churn
-
-    table = daily_route_churn(ds)
-    summary = churn_summary(table, ds)
-    return (
-        format_table(table, max_rows=30)
-        + f"\nmean daily route changes: prewar "
-        f"{summary['prewar_daily_changes']:.1f}, wartime "
-        f"{summary['wartime_daily_changes']:.1f} (x{summary['ratio']:.1f})"
-    )
-
-
-@obs.traced("analysis.events")
-def _events(ds: Dataset) -> str:
-    from repro.analysis.events_impact import event_impact_table
-    from repro.conflict import default_timeline
-
-    return format_table(
-        event_impact_table(ds.ndt, default_timeline(), ds.topology.gazetteer),
-        float_fmts={"p_value": ".1e"},
-        float_fmt=".3f",
-    )
-
-
-@obs.traced("analysis.outages")
-def _outages(ds: Dataset) -> str:
-    from repro.analysis.outages import detect_outage_days
-
-    return f"outage-shaped days (2022): {detect_outage_days(ds.ndt)}"
-
-
-@obs.traced("analysis.hopgeo")
-def _hopgeo(ds: Dataset) -> str:
-    from repro.analysis.hopgeo import gateway_city_agreement
-
-    a = gateway_city_agreement(ds)
-    return (
-        f"rDNS vs geo-DB agreement: {a['agree']:.1%} over "
-        f"{a['n_compared']:.0f} tests (geo missing {a['geo_missing']:.1%}, "
-        f"PTR unusable {a['ptr_missing']:.1%})"
-    )
-
-
 def experiment_registry() -> Dict[str, ExperimentFn]:
-    """Name → section function for all 18 experiments, in report order."""
+    """Name → section function for all 18 experiments, in report order.
+
+    The functions are read from :mod:`repro.analysis.report` at call time,
+    so a wrapper installed on that module (a tracer, a test's stub) is the
+    one that runs.
+    """
     from repro.analysis import report as rpt
 
     return {
@@ -86,18 +51,43 @@ def experiment_registry() -> Dict[str, ExperimentFn]:
         "fig6": rpt._fig6,
         "fig7": rpt._figs7_8,
         "fig8": rpt._figs7_8,
-        "churn": _churn,
-        "events": _events,
-        "outages": _outages,
-        "hopgeo": _hopgeo,
+        "churn": rpt._churn,
+        "events": rpt._events,
+        "outages": rpt._outages,
+        "hopgeo": rpt._hopgeo,
     }
 
 
-EXPERIMENT_NAMES: Tuple[str, ...] = (
-    "fig2", "table1", "fig3", "table4", "fig4", "table2", "fig9",
-    "table3", "table5", "table6", "fig5", "fig6", "fig7", "fig8",
-    "churn", "events", "outages", "hopgeo",
-)
+EXPERIMENT_NAMES: Tuple[str, ...] = tuple(experiment_registry())
+
+
+def experiment_stages(names: Sequence[str]) -> List[Stage]:
+    """One degradable stage per named experiment, reading ``ingest``.
+
+    Raises :class:`~repro.util.errors.PipelineError` for an unknown name.
+    Experiments that share a section function (e.g. table3/5/6) run it
+    once; the later stages reuse its text.
+    """
+    registry = experiment_registry()
+    unknown = [n for n in names if n not in registry]
+    if unknown:
+        raise PipelineError(
+            f"unknown experiments {unknown}; available: {sorted(registry)}"
+        )
+    cache: Dict[ExperimentFn, str] = {}
+
+    def section(fn: ExperimentFn) -> Callable[[Dict[str, Any]], str]:
+        def run(ctx: Dict[str, Any]) -> str:
+            if fn not in cache:
+                cache[fn] = fn(ctx["ingest"])
+            return cache[fn]
+
+        return run
+
+    return [
+        Stage(name=n, fn=section(registry[n]), allow_failure=True, inputs=("ingest",))
+        for n in names
+    ]
 
 
 def run_experiments(
@@ -105,33 +95,12 @@ def run_experiments(
     names: Optional[Sequence[str]] = None,
     runner: Optional[PipelineRunner] = None,
 ) -> Tuple[Dict[str, str], RunReport]:
-    """Run the named experiments (default: all 18) with degradation.
+    """Run the named experiments (default: all 18) over *dataset*.
 
     Returns the successful sections (name → text) and the run report in
-    which every failed experiment carries its error and traceback.  Shared
-    section functions (e.g. table3/5/6) are computed once and reused.
+    which every failed experiment carries its error and traceback.
     """
-    registry = experiment_registry()
     names = list(names) if names is not None else list(EXPERIMENT_NAMES)
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        raise PipelineError(
-            f"unknown experiments {unknown}; available: {sorted(registry)}"
-        )
-    runner = runner or PipelineRunner()
-    cache: Dict[ExperimentFn, str] = {}
-
-    def stage_fn(fn: ExperimentFn) -> Callable:
-        def run(_context) -> str:
-            if fn not in cache:
-                cache[fn] = fn(dataset)
-            return cache[fn]
-
-        return run
-
-    stages = [
-        Stage(name=n, fn=stage_fn(registry[n]), allow_failure=True) for n in names
-    ]
-    context, report = runner.run(stages, {})
-    sections = {n: context[n] for n in names if n in context}
-    return sections, report
+    stages = experiment_stages(names)
+    context, report = (runner or PipelineRunner()).run(stages, {"ingest": dataset})
+    return {n: context[n] for n in names if n in context}, report

@@ -338,7 +338,7 @@ class PipelineRunner:
                     )
                     self._sleep(delay)
                     continue
-            except Exception as exc:  # non-retryable: capture and stop
+            except Exception as exc:  # repro-lint: disable=typed-errors (captured, not retried)
                 attempt_durations.append(self._clock() - attempt_t0)
                 last_exc = exc
             else:

@@ -6,6 +6,7 @@ run killed after generation can resume without regenerating; every
 experiment runs with graceful degradation and the whole thing ends in a
 :class:`ReportRun` whose ``render()`` is the CLI's output and whose
 ``exit_code`` distinguishes generation from analysis failures.
+:func:`full_report` renders the same experiments for a dataset in hand.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro import obs
 from repro.faults.injector import FaultInjector, InjectionSummary
 from repro.faults.profiles import FaultProfile
 from repro.runtime.checkpoint import CheckpointStore, config_key
-from repro.runtime.experiments import EXPERIMENT_NAMES, experiment_registry
+from repro.runtime.experiments import EXPERIMENT_NAMES, experiment_stages, run_experiments
 from repro.runtime.ingest import sanitize_dataset
 from repro.runtime.pipeline import PipelineRunner, RunReport, Stage, StageStatus
 from repro.synth.generator import Dataset, DatasetGenerator, GeneratorConfig
@@ -30,6 +31,7 @@ __all__ = [
     "EXIT_GENERATION",
     "EXIT_OK",
     "ReportRun",
+    "full_report",
     "run_pipeline",
 ]
 
@@ -104,7 +106,6 @@ def _build_stages(
     config: GeneratorConfig,
     profile: Optional[FaultProfile],
     strict: bool,
-    experiments: Sequence[str],
     gates_out: Dict[str, GateResult],
     injection_out: List[InjectionSummary],
 ) -> List[Stage]:
@@ -141,27 +142,6 @@ def _build_stages(
             inputs=("inject-faults", "generate") if injecting else ("generate",),
         )
     )
-
-    registry = experiment_registry()
-    cache: Dict[Any, str] = {}
-
-    def experiment_fn(fn):
-        def run(ctx: Dict[str, Any]) -> str:
-            if fn not in cache:
-                cache[fn] = fn(ctx["ingest"])
-            return cache[fn]
-
-        return run
-
-    for name in experiments:
-        stages.append(
-            Stage(
-                name=name,
-                fn=experiment_fn(registry[name]),
-                allow_failure=True,
-                inputs=("ingest",),
-            )
-        )
     return stages
 
 
@@ -183,18 +163,10 @@ def run_pipeline(
     experiments = list(experiments) if experiments is not None else list(
         EXPERIMENT_NAMES
     )
-    registry = experiment_registry()
-    unknown = [n for n in experiments if n not in registry]
-    if unknown:
-        from repro.util.errors import PipelineError
-
-        raise PipelineError(
-            f"unknown experiments {unknown}; available: {sorted(registry)}"
-        )
-
     gates: Dict[str, GateResult] = {}
     injections: List[InjectionSummary] = []
-    stages = _build_stages(config, profile, strict, experiments, gates, injections)
+    stages = _build_stages(config, profile, strict, gates, injections)
+    stages += experiment_stages(experiments)
 
     if runner is None:
         store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
@@ -206,7 +178,7 @@ def run_pipeline(
         )
     try:
         context, report = runner.run(stages, {})
-    except Exception as exc:
+    except Exception as exc:  # repro-lint: disable=typed-errors (re-raised below)
         # Attach whatever partial state exists so the CLI can still print
         # a run report before exiting nonzero.
         report = getattr(exc, "report", None)
@@ -227,3 +199,14 @@ def run_pipeline(
         gates=gates,
         injection=injections[0] if injections else None,
     )
+
+
+def full_report(dataset: Dataset) -> str:
+    """Every reproduced table and figure of *dataset*, as one text document.
+
+    Runs the 18 experiments and renders them as ``repro report`` does,
+    without the run report; a failed experiment prints as a FAILED block.
+    """
+    sections, report = run_experiments(dataset)
+    run = ReportRun(dataset=dataset, sections=sections, report=report)
+    return run.render(include_report=False)

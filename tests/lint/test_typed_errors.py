@@ -33,6 +33,29 @@ class TestFlagged:
         assert len(diags) == 1
         assert "strict package" in diags[0].message
 
+    def test_except_exception_in_strict_package(self, lint_snippet):
+        source = """\
+            try:
+                work()
+            except Exception as exc:
+                parts.append(f"(skipped: {exc})")
+        """
+        diags = lint_snippet(source, RULE, relpath="repro/analysis/foo.py")
+        assert len(diags) == 1
+        assert "'except Exception'" in diags[0].message
+        assert diags[0].line == 3
+
+    def test_except_base_exception_in_tuple(self, lint_snippet):
+        source = """\
+            try:
+                work()
+            except (KeyError, BaseException):
+                pass
+        """
+        diags = lint_snippet(source, RULE, relpath="repro/runtime/foo.py")
+        assert len(diags) == 1
+        assert "'except BaseException'" in diags[0].message
+
     def test_index_error_in_runtime_package(self, lint_snippet):
         assert (
             len(
@@ -58,6 +81,33 @@ class TestAllowed:
     def test_typed_hierarchy_raise(self, lint_snippet):
         source = 'raise DataError("malformed")\n'
         assert lint_snippet(source, RULE, relpath="repro/analysis/foo.py") == []
+
+    def test_except_exception_outside_strict_packages(self, lint_snippet):
+        source = """\
+            try:
+                work()
+            except Exception:
+                pass
+        """
+        assert lint_snippet(source, RULE, relpath="repro/obs/foo.py") == []
+
+    def test_typed_catch_in_strict_package(self, lint_snippet):
+        source = """\
+            try:
+                work()
+            except (AnalysisError, ValueError) as exc:
+                parts.append(f"(skipped: {exc})")
+        """
+        assert lint_snippet(source, RULE, relpath="repro/analysis/foo.py") == []
+
+    def test_inline_reason_suppresses_catch_all(self, lint_snippet):
+        source = """\
+            try:
+                value = stage.fn(context)
+            except Exception as exc:  # repro-lint: disable=typed-errors (recorded per stage)
+                last_exc = exc
+        """
+        assert lint_snippet(source, RULE, relpath="repro/runtime/foo.py") == []
 
     def test_specific_except_and_reraise(self, lint_snippet):
         source = """\

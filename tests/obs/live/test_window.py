@@ -415,25 +415,16 @@ class TestPerRowParity:
 
 
 class TestMergeableHistogram:
-    """The one histogram (``obs.metrics.Histogram``) the live state merges."""
+    """The one histogram (``obs.metrics.Histogram``), whose JSON form the
+    live state's bucket counts share."""
 
-    def test_bucketing_and_merge(self):
-        a = Histogram("a", (1.0, 10.0))
-        b = Histogram("b", (1.0, 10.0))
-        for v in (0.5, 5.0):
-            a.observe(v)
-        for v in (5.0, 50.0):
-            b.observe(v)
-        a.merge(b)
-        snap = a.snapshot()
+    def test_bucketing(self):
+        h = Histogram("h", (1.0, 10.0))
+        for v in (0.5, 5.0, 5.0, 50.0):
+            h.observe(v)
+        snap = h.snapshot()
         assert snap["count"] == 4
         assert snap["buckets"] == {"le_1": 1, "le_10": 2, "overflow": 1}
-
-    def test_mismatched_bounds_refuse_to_merge(self):
-        a = Histogram("a", (1.0, 10.0))
-        b = Histogram("b", (1.0, 100.0))
-        with pytest.raises(ValueError, match="different bounds"):
-            a.merge(b)
 
     def test_nan_is_skipped(self):
         h = Histogram("h", (0.1, 10.0))

@@ -6,9 +6,15 @@ from repro.faults import get_profile
 from repro.runtime.checkpoint import CheckpointStore, config_key
 from repro.runtime.experiments import EXPERIMENT_NAMES, experiment_registry, run_experiments
 from repro.runtime.pipeline import PipelineRunner, StageStatus
-from repro.runtime.run import EXIT_ANALYSIS, EXIT_GENERATION, EXIT_OK, run_pipeline
-from repro.synth.generator import GeneratorConfig
-from repro.util.errors import PipelineError, StageFailure
+from repro.runtime.run import (
+    EXIT_ANALYSIS,
+    EXIT_GENERATION,
+    EXIT_OK,
+    full_report,
+    run_pipeline,
+)
+from repro.synth.generator import DatasetGenerator, GeneratorConfig
+from repro.util.errors import AnalysisError, PipelineError, StageFailure
 
 CONFIG = GeneratorConfig(seed=3, scale=0.02)
 
@@ -133,7 +139,7 @@ class TestRunPipeline:
 class TestExperimentRegistry:
     def test_registry_covers_all_18_names(self):
         registry = experiment_registry()
-        assert set(registry) == set(EXPERIMENT_NAMES)
+        assert tuple(registry) == EXPERIMENT_NAMES
         assert len(EXPERIMENT_NAMES) == 18
 
     def test_run_experiments_shares_section_functions(self, small_dataset):
@@ -163,3 +169,54 @@ class TestExperimentRegistry:
     def test_run_experiments_unknown_name(self, small_dataset):
         with pytest.raises(PipelineError, match="unknown"):
             run_experiments(small_dataset, names=["not-a-thing"])
+
+
+class TestOneFailurePath:
+    """Only the typed refusal of a small dataset prints as a skipped line."""
+
+    def test_untyped_error_fails_its_experiments(self, tmp_path, monkeypatch):
+        import repro.analysis.report as rpt
+
+        def broken(ndt, traces):
+            raise RuntimeError("figure 9 bug")
+
+        monkeypatch.setattr(rpt, "path_performance", broken)
+        _, runner = make_runner(tmp_path)
+        run = run_pipeline(
+            CONFIG, experiments=["fig2", "table2", "fig9"], runner=runner
+        )
+        assert run.exit_code == EXIT_ANALYSIS
+        assert list(run.sections) == ["fig2"]
+        for name in ("table2", "fig9"):
+            failure = run.report.result(name)
+            assert failure.status is StageStatus.FAILED
+            assert "figure 9 bug" in failure.error
+            assert "Traceback" in failure.traceback
+        assert "skipped" not in run.render()
+
+    def test_analysis_error_prints_the_skipped_line(self, tmp_path, monkeypatch):
+        import repro.analysis.report as rpt
+
+        def refused(ndt, traces):
+            raise AnalysisError("no persistent connections")
+
+        monkeypatch.setattr(rpt, "path_performance", refused)
+        _, runner = make_runner(tmp_path)
+        run = run_pipeline(CONFIG, experiments=["table2", "fig9"], runner=runner)
+        assert run.exit_code == EXIT_OK
+        assert "(Figure 9 skipped: no persistent connections)" in run.sections["fig9"]
+
+
+class TestFullReport:
+    def test_prints_what_the_pipeline_prints(self):
+        # Header and every section match `repro report`; only the data
+        # quality block differs (a dataset in hand passed no ingest gate).
+        separator = "\n\n" + "=" * 72 + "\n\n"
+        config = GeneratorConfig(scale=0.05)
+        run = run_pipeline(config, checkpoint_dir=None)
+        assert run.exit_code == EXIT_OK
+        text = full_report(DatasetGenerator(config).generate())
+        parts = text.split(separator)
+        assert parts[:-1] == run.render(include_report=False).split(separator)[:-1]
+        assert parts[1:-1] == list(dict.fromkeys(run.sections.values()))
+        assert parts[-1] == "== Data quality ==\n(no ingest gate in this run)"
