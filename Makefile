@@ -9,9 +9,11 @@ LIVE_SMOKE_DIR := results/live-smoke
 
 .PHONY: test unit obs-smoke profile-smoke live-smoke bench-compare \
 	bench-record lint lint-json lint-fast flow baseline bench \
-	bench-engine bench-obs bench-storage bench-profile bench-live chaos
+	bench-engine bench-obs bench-storage bench-profile bench-live chaos \
+	perfbench-selftest
 
-test: unit obs-smoke profile-smoke live-smoke bench-compare flow chaos
+test: unit obs-smoke profile-smoke live-smoke bench-compare flow chaos \
+	perfbench-selftest
 
 unit:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -x -q
@@ -124,6 +126,13 @@ bench-profile:
 # percentile rows carry their own floor_ms noise floors).
 bench-live:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -q benchmarks/test_live_service.py
+
+# The benchmark's self-test: each perfbench workload once at a tiny scale,
+# checking it prints exactly the metrics BENCHMARK.json declares and that
+# every traced target still resolves (a renamed function fails here, not
+# as a failed benchmark run).  Part of the default `make test`.
+perfbench-selftest:
+	python3 -m pytest perfbench/test_perfbench.py -q
 
 # The crash matrix (docs/ROBUSTNESS.md): kill a pipeline run at every
 # announced crash point, resume it, and require byte-identical outputs.

@@ -9,8 +9,9 @@ it misbehave in the shapes real filesystems do:
 * **short reads** — ``read(n)`` returns fewer bytes than asked, checking
   that readers loop to EOF instead of trusting one syscall;
 * **transient errors** — ``EIO`` / ``ENOSPC`` raised with a seeded
-  probability (or a fixed budget of failures) on chosen operations, the
-  failure shape PR 1's retry/backoff machinery exists for.
+  probability (or a fixed budget of failures) on chosen operations,
+  checking that every I/O failure surfaces as a typed
+  :class:`~repro.util.errors.StorageError` and never as a torn file.
 
 Determinism is the point: all randomness comes from one seeded
 ``np.random.Generator``, so a failing chaos test replays exactly.
@@ -81,8 +82,7 @@ class FaultyFS(LocalFS):
         Probability that a faultable operation raises ``OSError``.
     error_budget:
         With ``None``, errors keep firing forever (hard outage).  With an
-        int, at most that many errors fire in total — the transient shape
-        a retry policy should survive.
+        int, at most that many errors fire in total (a transient fault).
     error_ops:
         Operation names eligible for injected errors (any of ``write``,
         ``read``, ``replace``, ``fsync``, ``open``).

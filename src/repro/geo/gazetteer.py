@@ -131,9 +131,6 @@ class Gazetteer:
     def oblasts(self) -> List[Oblast]:
         return list(self._oblasts.values())
 
-    def oblast_names(self) -> List[str]:
-        return list(self._oblasts)
-
     # -- cities ---------------------------------------------------------------
     def city(self, name: str) -> City:
         try:

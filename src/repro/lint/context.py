@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet
+from typing import FrozenSet
 
 __all__ = ["FileContext", "LintConfig"]
 
@@ -50,7 +50,6 @@ class FileContext:
         self.source = source
         self.tree = tree
         self.config = config
-        self._parents: Dict[int, ast.AST] = {}
 
     def matches(self, *suffixes: str) -> bool:
         """Whether this file's relpath ends with any of the given suffixes."""
@@ -60,17 +59,3 @@ class FileContext:
         """Whether this file lives under any of the given path fragments."""
         return any(p in self.relpath for p in prefixes)
 
-    def enclosing_function(self, node: ast.AST):
-        """The innermost function/lambda containing ``node``, or None."""
-        if not self._parents:
-            for parent in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(parent):
-                    self._parents[id(child)] = parent
-        current = self._parents.get(id(node))
-        while current is not None:
-            if isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                return current
-            current = self._parents.get(id(current))
-        return None

@@ -84,8 +84,3 @@ def build_rules(ids: Optional[Sequence[str]] = None) -> List[Rule]:
             f"unknown rule ids {unknown}; available: {sorted(_REGISTRY)}"
         )
     return [_REGISTRY[i]() for i in ids]
-
-
-def rule_catalogue() -> List[Rule]:
-    """One instance of every rule, for ``--list-rules`` style output."""
-    return build_rules()

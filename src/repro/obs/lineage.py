@@ -185,10 +185,6 @@ class LineageRecorder:
         if config_key:
             self.config_key = config_key
 
-    def output_fingerprint(self, stage: str) -> Optional[Dict[str, Any]]:
-        """The cached output fingerprint of an already-recorded stage."""
-        return self._outputs.get(stage)
-
     def record_stage(
         self,
         name: str,

@@ -55,7 +55,7 @@ DEFAULT_MS_BUCKETS: Tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing count (rows quarantined, retries, ...)."""
+    """A monotonically increasing count (rows quarantined, stage failures, ...)."""
 
     __slots__ = ("name", "value")
 

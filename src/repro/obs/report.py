@@ -2,9 +2,9 @@
 
 At pipeline exit the CLI folds three sources into ``run_report.json``:
 
-* the pipeline's per-stage results (status, attempts, retry latencies,
-  rows in/out) — duck-typed from :class:`repro.runtime.pipeline.RunReport`
-  so this module never imports the runtime (obs sits below everything);
+* the pipeline's per-stage results (status, wall time, rows in/out,
+  error) — duck-typed from :class:`repro.runtime.pipeline.RunReport` so
+  this module never imports the runtime (obs sits below everything);
 * the metrics snapshot (checkpoint hits, quarantine counts, kernel
   histograms);
 * the tracer's ten hottest spans.
@@ -36,7 +36,7 @@ __all__ = [
     "write_run_report",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Counter names the report surfaces as first-class sections.
 _CHECKPOINT_COUNTERS = ("checkpoint.hits", "checkpoint.misses", "checkpoint.saves")
@@ -72,25 +72,17 @@ def build_run_report(
         they fill the quarantine/faults sections even with metrics off.
     """
     stages: List[Dict[str, Any]] = []
-    total_attempts = 0
-    total_retries = 0
     wall_s = 0.0
     by_status = {"ok": 0, "cached": 0, "failed": 0, "skipped": 0}
     for r in pipeline_report.results:
         status = r.status.value if hasattr(r.status, "value") else str(r.status)
         by_status[status] = by_status.get(status, 0) + 1
-        retries = max(0, r.attempts - 1)
-        total_attempts += r.attempts
-        total_retries += retries
         wall_s += r.duration_s
         stages.append(
             {
                 "name": r.name,
                 "status": status,
-                "attempts": r.attempts,
-                "retries": retries,
                 "duration_s": r.duration_s,
-                "attempt_durations_s": list(getattr(r, "attempt_durations", [])),
                 "rows_in": getattr(r, "rows_in", None),
                 "rows_out": getattr(r, "rows_out", None),
                 "error": r.error,
@@ -162,8 +154,6 @@ def build_run_report(
             "cached": by_status.get("cached", 0),
             "failed": by_status.get("failed", 0),
             "skipped": by_status.get("skipped", 0),
-            "attempts": total_attempts,
-            "retries": total_retries,
             "wall_s": wall_s,
         },
         "stages": stages,
@@ -198,22 +188,18 @@ def render_run_report(data: Dict[str, Any]) -> str:
     stages = data.get("stages")
     if stages:
         lines.append(
-            f"{'stage':<24s} {'status':<8s} {'att':>3s} {'retry':>5s} "
+            f"{'stage':<24s} {'status':<8s} "
             f"{'wall_s':>9s} {'rows_in':>9s} {'rows_out':>9s}  error"
         )
         for s in stages:
             error = s.get("error")
             lines.append(
                 f"{s.get('name', '?'):<24s} {s.get('status', '?'):<8s} "
-                f"{s.get('attempts', 0):>3d} {s.get('retries', 0):>5d} "
                 f"{s.get('duration_s', 0.0):>9.3f} "
                 f"{_fmt_rows(s.get('rows_in')):>9s} "
                 f"{_fmt_rows(s.get('rows_out')):>9s}  "
                 f"{error.splitlines()[0] if error else ''}"
             )
-            for i, dur in enumerate(s.get("attempt_durations_s", [])):
-                if s.get("retries") or s.get("status") == "failed":
-                    lines.append(f"{'':<24s}   attempt {i + 1}: {dur:.3f}s")
     else:
         lines.append("(no stages section in this report)")
     t = data.get("totals")
@@ -222,7 +208,6 @@ def render_run_report(data: Dict[str, Any]) -> str:
             f"totals: {t.get('stages', 0)} stages ({t.get('ok', 0)} ok, "
             f"{t.get('cached', 0)} cached, {t.get('failed', 0)} failed, "
             f"{t.get('skipped', 0)} skipped); "
-            f"{t.get('attempts', 0)} attempts, {t.get('retries', 0)} retries; "
             f"wall {t.get('wall_s', 0.0):.3f}s"
         )
     else:

@@ -74,7 +74,7 @@ class Span:
         return self._record.name
 
     def set(self, **attrs: Any) -> "Span":
-        """Attach attributes (rows in/out, retry count, ...); chainable."""
+        """Attach attributes (rows in/out, status, ...); chainable."""
         self._record.attrs.update(attrs)
         return self
 

@@ -1,10 +1,10 @@
 """Fault-tolerant pipeline runtime.
 
-The staged executor (:mod:`repro.runtime.pipeline`) wraps
-generate → inject → ingest → analyze as named stages with seeded retry and
-exponential backoff, per-stage checkpointing keyed by (config hash, seed)
-with resume, per-stage timing/error capture, and graceful degradation for
-the 18 experiments.  :mod:`repro.runtime.ingest` is the quarantine gate;
+The staged executor (:mod:`repro.runtime.pipeline`) runs
+generate → inject → ingest → analyze as named stages, each once, with
+per-stage checkpointing keyed by (config hash, seed) with resume,
+per-stage timing/error capture, and graceful degradation for the 18
+experiments.  :mod:`repro.runtime.ingest` is the quarantine gate;
 :mod:`repro.runtime.run` is the end-to-end orchestration the CLI calls.
 """
 

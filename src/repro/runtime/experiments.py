@@ -11,7 +11,8 @@ ingest, and :func:`run_experiments` runs them over a dataset in hand.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from types import TracebackType
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.pipeline import PipelineRunner, RunReport, Stage
 from repro.synth.generator import Dataset
@@ -66,7 +67,8 @@ def experiment_stages(names: Sequence[str]) -> List[Stage]:
 
     Raises :class:`~repro.util.errors.PipelineError` for an unknown name.
     Experiments that share a section function (e.g. table3/5/6) run it
-    once; the later stages reuse its text.
+    once: the later stages reuse its text, or re-raise the exception it
+    raised (with its traceback), so every name fails with the same error.
     """
     registry = experiment_registry()
     unknown = [n for n in names if n not in registry]
@@ -74,13 +76,20 @@ def experiment_stages(names: Sequence[str]) -> List[Stage]:
         raise PipelineError(
             f"unknown experiments {unknown}; available: {sorted(registry)}"
         )
-    cache: Dict[ExperimentFn, str] = {}
+    outcomes: Dict[ExperimentFn, Union[str, Tuple[Exception, TracebackType]]] = {}
 
     def section(fn: ExperimentFn) -> Callable[[Dict[str, Any]], str]:
         def run(ctx: Dict[str, Any]) -> str:
-            if fn not in cache:
-                cache[fn] = fn(ctx["ingest"])
-            return cache[fn]
+            if fn not in outcomes:
+                try:
+                    outcomes[fn] = fn(ctx["ingest"])
+                except Exception as exc:  # repro-lint: disable=typed-errors (re-raised to every name)
+                    outcomes[fn] = (exc, exc.__traceback__)
+            outcome = outcomes[fn]
+            if isinstance(outcome, tuple):
+                exc, tb = outcome
+                raise exc.with_traceback(tb)
+            return outcome
 
         return run
 

@@ -1,25 +1,22 @@
-"""The staged pipeline executor: retries, checkpoints, and a run report.
+"""The staged pipeline executor: checkpoints, failure capture, a run report.
 
 A pipeline is a list of named :class:`Stage` objects executed in order over
-a shared context dict.  Each stage gets:
+a shared context dict.  Each stage runs once — every stage is a
+deterministic function of a seeded dataset, so a stage that fails would
+fail the same way again — and gets:
 
-* **seeded retry with exponential backoff** — transient failures (declared
-  via ``retry_on``) are retried up to ``retries`` times with jittered
-  exponential delays drawn from a deterministic per-stage RNG stream, so a
-  flaky run is still a reproducible run;
 * **checkpointing** — stages marked ``checkpoint=True`` persist their
   return value keyed by (config hash, seed); a resumed run loads the value
   instead of recomputing it;
-* **timing and error capture** — every attempt's start offset and duration
-  land in the :class:`RunReport` (and in :class:`StageFailure` for fatal
-  stages), so retry latency is first-class data, not log archaeology;
+* **timing and error capture** — each stage's duration, error and
+  traceback land in the :class:`RunReport`;
 * **graceful degradation** — stages marked ``allow_failure=True`` record
   their failure and let the rest of the pipeline run; fatal stages raise
   :class:`~repro.util.errors.StageFailure`.
 
 Observability: when ``repro.obs`` is enabled, every stage runs inside a
-``stage.<name>`` span carrying rows in/out, attempts, and status; retries
-bump the ``pipeline.retries`` counter; log lines are attributed to the
+``stage.<name>`` span carrying rows out and status; a failed stage bumps
+the ``pipeline.stage_failures`` counter; log lines are attributed to the
 stage via :func:`repro.obs.stage_scope`.  With lineage on, each stage's
 declared ``inputs`` and its output value are content-fingerprinted into
 the provenance DAG (:mod:`repro.obs.lineage`); with metrics on,
@@ -30,10 +27,9 @@ gauges (:mod:`repro.obs.memory`).  All of it is free when obs is off.
 from __future__ import annotations
 
 import enum
-import time
 import traceback as _tb
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.faults.crashpoints import crash_point
@@ -41,7 +37,6 @@ from repro.obs.clock import monotonic
 from repro.obs.memory import record_value_memory
 from repro.runtime.checkpoint import CheckpointStore
 from repro.util.errors import CheckpointCorruptError, PipelineError, StageFailure
-from repro.util.rng import RngHub
 
 __all__ = [
     "PipelineRunner",
@@ -59,7 +54,7 @@ class StageStatus(enum.Enum):
     OK = "ok"
     CACHED = "cached"  # value came from a checkpoint (resume hit)
     FAILED = "failed"
-    SKIPPED = "skipped"  # an upstream fatal failure prevented the attempt
+    SKIPPED = "skipped"  # an upstream fatal failure prevented the run
 
 
 @dataclass(frozen=True)
@@ -75,8 +70,6 @@ class Stage:
 
     name: str
     fn: Callable[[Dict[str, Any]], Any]
-    retries: int = 0
-    retry_on: Tuple[Type[BaseException], ...] = ()
     checkpoint: bool = False
     allow_failure: bool = False
     inputs: Tuple[str, ...] = ()
@@ -84,29 +77,20 @@ class Stage:
 
 @dataclass
 class StageResult:
-    """What happened to one stage: status, attempts, timing, rows, error.
+    """What happened to one stage: status, timing, rows, error.
 
-    ``attempt_durations`` / ``attempt_started`` hold one entry per
-    attempt (including the successful one): elapsed seconds and the start
-    offset from the stage's first attempt.  ``rows_in`` / ``rows_out``
-    are the table/dataset row counts flowing through the stage where the
-    values expose them (``None`` otherwise — e.g. text sections).
+    ``rows_in`` / ``rows_out`` are the table/dataset row counts flowing
+    through the stage where the values expose them (``None`` otherwise —
+    e.g. text sections).
     """
 
     name: str
     status: StageStatus
-    attempts: int = 0
     duration_s: float = 0.0
     error: Optional[str] = None
     traceback: Optional[str] = None
-    attempt_durations: List[float] = field(default_factory=list)
-    attempt_started: List[float] = field(default_factory=list)
     rows_in: Optional[int] = None
     rows_out: Optional[int] = None
-
-    @property
-    def retries(self) -> int:
-        return max(0, self.attempts - 1)
 
 
 @dataclass
@@ -134,10 +118,7 @@ class RunReport:
     def summary(self) -> str:
         lines = [f"run report (key {self.key or '-'}):"]
         for r in self.results:
-            line = (
-                f"  {r.name:<24s} {r.status.value:<7s} "
-                f"attempts={r.attempts} {r.duration_s:7.2f}s"
-            )
+            line = f"  {r.name:<24s} {r.status.value:<7s} {r.duration_s:7.2f}s"
             if r.error:
                 line += f"  {r.error.splitlines()[0]}"
             lines.append(line)
@@ -179,12 +160,8 @@ class PipelineRunner:
         With no store, checkpoint flags are ignored.
     resume:
         Load checkpointed values where present instead of recomputing.
-    max_retries / backoff_base / backoff_cap:
-        Defaults for stages that declare ``retry_on`` but no ``retries``.
-        Backoff for attempt *k* is ``backoff_base * 2**(k-1)`` scaled by a
-        jitter in [0.5, 1.5) drawn from a per-stage seeded stream.
-    sleep / clock:
-        Injectable for tests (no real sleeping in the suite).
+    clock:
+        Injectable for tests.
     """
 
     def __init__(
@@ -192,11 +169,6 @@ class PipelineRunner:
         checkpoints: Optional[CheckpointStore] = None,
         key: str = "",
         resume: bool = False,
-        max_retries: int = 2,
-        backoff_base: float = 0.25,
-        backoff_cap: float = 30.0,
-        seed: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = monotonic,
     ):
         if checkpoints is not None and not key:
@@ -204,21 +176,7 @@ class PipelineRunner:
         self.checkpoints = checkpoints
         self.key = key
         self.resume = resume
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._hub = RngHub(seed)
-        self._sleep = sleep
         self._clock = clock
-
-    def backoff_delays(self, stage_name: str, attempts: int) -> List[float]:
-        """The jittered exponential delays a stage would sleep between retries."""
-        rng = self._hub.fresh(f"backoff:{stage_name}")
-        delays = []
-        for attempt in range(1, attempts + 1):
-            base = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-            delays.append(base * (0.5 + rng.random()))
-        return delays
 
     # -- execution ----------------------------------------------------------
     def run(
@@ -263,11 +221,7 @@ class PipelineRunner:
             record_value_memory(stage.name, context.get(stage.name))
             if result.status is StageStatus.FAILED and not stage.allow_failure:
                 failed_fatal = StageFailure(
-                    stage.name,
-                    result.attempts,
-                    context.pop("__last_error__"),
-                    attempt_durations=result.attempt_durations,
-                    attempt_started=result.attempt_started,
+                    stage.name, 1, context.pop("__last_error__")
                 )
         context["__report__"] = report
         if failed_fatal is not None:
@@ -279,11 +233,7 @@ class PipelineRunner:
         with obs.span(f"stage.{stage.name}", kind="stage") as span, \
                 obs.stage_scope(stage.name):
             result = self._run_stage_inner(stage, context)
-            span.set(
-                status=result.status.value,
-                attempts=result.attempts,
-                rows_out=result.rows_out,
-            )
+            span.set(status=result.status.value, rows_out=result.rows_out)
         return result
 
     def _run_stage_inner(self, stage: Stage, context: Dict[str, Any]) -> StageResult:
@@ -309,74 +259,37 @@ class PipelineRunner:
                 return StageResult(
                     name=stage.name,
                     status=StageStatus.CACHED,
-                    attempts=0,
                     duration_s=self._clock() - start,
                     rows_out=value_row_count(value),
                 )
 
-        max_attempts = 1 + (stage.retries if stage.retry_on else 0)
-        logger.debug("stage %s: starting (attempt budget %d)", stage.name, max_attempts)
-        delays = self.backoff_delays(stage.name, max_attempts - 1)
-        last_exc: Optional[BaseException] = None
-        attempt_durations: List[float] = []
-        attempt_started: List[float] = []
-        for attempt in range(1, max_attempts + 1):
-            attempt_t0 = self._clock()
-            attempt_started.append(attempt_t0 - start)
-            try:
-                value = stage.fn(context)
-            except stage.retry_on as exc:
-                attempt_durations.append(self._clock() - attempt_t0)
-                last_exc = exc
-                if attempt < max_attempts:
-                    delay = delays[attempt - 1]
-                    obs.counter("pipeline.retries").inc()
-                    logger.warning(
-                        "stage %s attempt %d/%d failed (%s: %s); retrying in %.2fs",
-                        stage.name, attempt, max_attempts,
-                        type(exc).__name__, exc, delay,
-                    )
-                    self._sleep(delay)
-                    continue
-            except Exception as exc:  # repro-lint: disable=typed-errors (captured, not retried)
-                attempt_durations.append(self._clock() - attempt_t0)
-                last_exc = exc
-            else:
-                attempt_durations.append(self._clock() - attempt_t0)
-                context[stage.name] = value
-                if self.checkpoints is not None and stage.checkpoint:
-                    self.checkpoints.save(self.key, stage.name, value)
-                crash_point(f"stage.{stage.name}:done")
-                logger.debug(
-                    "stage %s: ok in %.3fs (attempt %d/%d)",
-                    stage.name, self._clock() - start, attempt, max_attempts,
-                )
-                return StageResult(
-                    name=stage.name,
-                    status=StageStatus.OK,
-                    attempts=attempt,
-                    duration_s=self._clock() - start,
-                    attempt_durations=attempt_durations,
-                    attempt_started=attempt_started,
-                    rows_out=value_row_count(value),
-                )
-            break
-        assert last_exc is not None
-        obs.counter("pipeline.stage_failures").inc()
-        logger.error(
-            "stage %s: failed after %d attempt(s): %s: %s",
-            stage.name, attempt, type(last_exc).__name__, last_exc,
-        )
-        context["__last_error__"] = last_exc
+        logger.debug("stage %s: starting", stage.name)
+        try:
+            value = stage.fn(context)
+        except Exception as exc:  # repro-lint: disable=typed-errors (captured into the run report)
+            obs.counter("pipeline.stage_failures").inc()
+            logger.error(
+                "stage %s: failed: %s: %s", stage.name, type(exc).__name__, exc
+            )
+            context["__last_error__"] = exc
+            return StageResult(
+                name=stage.name,
+                status=StageStatus.FAILED,
+                duration_s=self._clock() - start,
+                error=f"{type(exc).__name__}: {exc}",
+                traceback="".join(
+                    _tb.format_exception(type(exc), exc, exc.__traceback__)
+                ),
+            )
+        context[stage.name] = value
+        if self.checkpoints is not None and stage.checkpoint:
+            self.checkpoints.save(self.key, stage.name, value)
+        crash_point(f"stage.{stage.name}:done")
+        duration_s = self._clock() - start
+        logger.debug("stage %s: ok in %.3fs", stage.name, duration_s)
         return StageResult(
             name=stage.name,
-            status=StageStatus.FAILED,
-            attempts=attempt,
-            duration_s=self._clock() - start,
-            error=f"{type(last_exc).__name__}: {last_exc}",
-            traceback="".join(
-                _tb.format_exception(type(last_exc), last_exc, last_exc.__traceback__)
-            ),
-            attempt_durations=attempt_durations,
-            attempt_started=attempt_started,
+            status=StageStatus.OK,
+            duration_s=duration_s,
+            rows_out=value_row_count(value),
         )

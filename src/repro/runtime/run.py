@@ -174,7 +174,6 @@ def run_pipeline(
             checkpoints=store,
             key=config_key(config) if store else "",
             resume=resume,
-            seed=config.seed,
         )
     try:
         context, report = runner.run(stages, {})

@@ -57,7 +57,7 @@ def atomic_write_bytes(
     ``label`` names the artifact in crash points and diagnostics (defaults
     to the basename).  I/O failures — including injected transient
     ``EIO``/``ENOSPC`` — surface as :class:`StorageError` with the original
-    ``OSError`` chained, so retry policies can declare one type.
+    ``OSError`` chained, so callers catch one type.
 
     ``durable=True`` (the default) is the full write–fsync–rename–
     fsync(dir) sequence: the published file survives even a kernel crash

@@ -197,20 +197,6 @@ class DType(enum.Enum):
             raise ValueError(f"cannot parse {text!r} as bool")
         raise ValueError(f"unhandled dtype {self!r}")  # pragma: no cover
 
-    def accepts(self, value) -> bool:
-        """Whether a python value already stored in a table fits this type."""
-        if self is DType.STR:
-            return value is None or isinstance(value, str)
-        if self is DType.BOOL:
-            return isinstance(value, (bool, np.bool_))
-        if self is DType.INT:
-            return isinstance(value, (int, np.integer)) and not isinstance(
-                value, (bool, np.bool_)
-            )
-        if self is DType.FLOAT:
-            return isinstance(value, (int, float, np.integer, np.floating))
-        return False  # pragma: no cover
-
 
 @dataclass(frozen=True)
 class Field:
@@ -261,26 +247,6 @@ class Schema:
         if not isinstance(other, Schema):
             return NotImplemented
         return self._fields == other._fields
-
-    def row_issues(self, row) -> List[str]:
-        """Type problems of one row dict against this schema.
-
-        Returns one human-readable reason per violation (missing key or a
-        value of the wrong logical type); an empty list means the row
-        conforms.  Extra keys are ignored — projection is the caller's job.
-        """
-        issues: List[str] = []
-        for f in self._fields:
-            if f.name not in row:
-                issues.append(f"missing field {f.name!r}")
-                continue
-            value = row[f.name]
-            if not f.dtype.accepts(value):
-                issues.append(
-                    f"field {f.name!r} expects {f.dtype.value}, "
-                    f"got {type(value).__name__} {value!r}"
-                )
-        return issues
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{f.name}:{f.dtype.value}" for f in self._fields)

@@ -50,13 +50,6 @@ class RouteChurnSeries:
                 total += self.changes[i]
         return total
 
-    def total_withdrawals(self, start: Day, end: Day) -> int:
-        total = 0
-        for i, day in enumerate(self.grid.days()[1:]):
-            if start <= day <= end:
-                total += self.withdrawals[i]
-        return total
-
 
 def compute_churn(
     router: StickyRouter,

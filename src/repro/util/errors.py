@@ -32,59 +32,30 @@ class PipelineError(ReproError):
 
 
 class StageFailure(PipelineError):
-    """A named pipeline stage exhausted its retries and gave up.
+    """A named pipeline stage raised, and the run cannot continue past it.
 
-    Carries the stage name, attempt count, and the final cause so a run
-    report (or an operator reading a log line) can tell *which* stage of
-    *which* run died and why, without unpacking a raw traceback.
-
-    ``attempt_durations`` / ``attempt_started`` record the elapsed
-    seconds and the start offset (seconds since the first attempt began)
-    of every failed attempt, in order — without them a run report could
-    say a stage "failed after 3 attempts" but not how much wall time the
-    retries burned or how backoff spaced them.
+    Carries the stage name and the cause so a run report (or an operator
+    reading a log line) can tell *which* stage of *which* run died and
+    why, without unpacking a raw traceback.  ``attempts`` is how many
+    times the stage ran, always 1 since the runner runs each stage once;
+    the argument stays because ``perfbench/test_perfbench.py`` builds
+    ``StageFailure("generate", 1, cause)``.
     """
 
-    def __init__(
-        self,
-        stage: str,
-        attempts: int,
-        cause: BaseException,
-        attempt_durations=(),
-        attempt_started=(),
-    ):
+    def __init__(self, stage: str, attempts: int, cause: BaseException):
         self.stage = stage
         self.attempts = attempts
         self.cause = cause
-        self.attempt_durations = tuple(attempt_durations)
-        self.attempt_started = tuple(attempt_started)
-        plural = "s" if attempts != 1 else ""
-        detail = ""
-        if self.attempt_durations:
-            total = sum(self.attempt_durations)
-            detail = f" over {total:.2f}s"
-        super().__init__(
-            f"stage {stage!r} failed after {attempts} attempt{plural}{detail}: "
-            f"{type(cause).__name__}: {cause}"
-        )
-
-    def retry_latency_s(self) -> float:
-        """Wall time from first attempt start to last attempt start.
-
-        Zero when there was a single attempt or timing was not recorded.
-        """
-        if len(self.attempt_started) < 2:
-            return 0.0
-        return self.attempt_started[-1] - self.attempt_started[0]
+        super().__init__(f"stage {stage!r} failed: {type(cause).__name__}: {cause}")
 
 
 class StorageError(ReproError):
     """The artifact storage layer cannot read or write an on-disk artifact.
 
     Raised for I/O failures on the sanctioned write path (temp-file
-    creation, fsync, rename).  Transient injected faults (``EIO`` /
-    ``ENOSPC`` from the chaos filesystem) surface as this type, so the
-    runtime's retry machinery can declare it in ``retry_on``.
+    creation, fsync, rename).  Injected faults (``EIO`` / ``ENOSPC`` from
+    the chaos filesystem) surface as this type too, so a caller catches
+    one type for every I/O failure, real or injected.
     """
 
 

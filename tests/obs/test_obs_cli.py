@@ -24,7 +24,7 @@ def artifacts(tmp_path):
     write_spans_jsonl(tracer, str(trace_path))
 
     reg = MetricsRegistry()
-    reg.counter("pipeline.retries").inc(2)
+    reg.counter("checkpoint.saves").inc(2)
     reg.histogram("kernel.groupby_ms").observe(4.0)
     metrics_path = tmp_path / "metrics.json"
     metrics_path.write_text(reg.to_json())
@@ -33,8 +33,7 @@ def artifacts(tmp_path):
         key="k1",
         results=[
             StageResult(
-                name="generate", status=StageStatus.OK, attempts=1,
-                duration_s=1.0, attempt_durations=[1.0], attempt_started=[0.0],
+                name="generate", status=StageStatus.OK, duration_s=1.0,
                 rows_out=100,
             )
         ],
@@ -73,7 +72,7 @@ class TestSummarize:
 class TestDiff:
     def test_diff_metrics_files(self, artifacts, tmp_path, capsys):
         reg = MetricsRegistry()
-        reg.counter("pipeline.retries").inc(5)
+        reg.counter("checkpoint.saves").inc(5)
         reg.histogram("kernel.groupby_ms").observe(4.0)
         reg.histogram("kernel.groupby_ms").observe(6.0)
         after = tmp_path / "after.json"
@@ -81,7 +80,7 @@ class TestDiff:
         rc = main(["obs", "diff", str(artifacts / "metrics.json"), str(after)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "counter pipeline.retries: 2 -> 5 (+3)" in out
+        assert "counter checkpoint.saves: 2 -> 5 (+3)" in out
         assert "histogram kernel.groupby_ms: count +1" in out
 
     def test_diff_accepts_run_reports(self, artifacts, capsys):
@@ -278,7 +277,7 @@ class TestValidate:
     def test_valid_report(self, artifacts, capsys):
         rc = main(["obs", "validate", str(artifacts / "run_report.json")])
         assert rc == 0
-        assert "valid (schema v1, 1 stages)" in capsys.readouterr().out
+        assert "valid (schema v2, 1 stages)" in capsys.readouterr().out
 
     def test_invalid_report_exits_one(self, artifacts, capsys):
         path = artifacts / "run_report.json"

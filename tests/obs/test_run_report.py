@@ -19,29 +19,20 @@ def make_pipeline_report():
             StageResult(
                 name="generate",
                 status=StageStatus.OK,
-                attempts=1,
                 duration_s=2.0,
-                attempt_durations=[2.0],
-                attempt_started=[0.0],
                 rows_out=1000,
             ),
             StageResult(
-                name="flaky",
+                name="ingest",
                 status=StageStatus.OK,
-                attempts=3,
                 duration_s=1.5,
-                attempt_durations=[0.4, 0.4, 0.7],
-                attempt_started=[0.0, 0.5, 1.0],
                 rows_in=1000,
                 rows_out=990,
             ),
             StageResult(
                 name="broken",
                 status=StageStatus.FAILED,
-                attempts=1,
                 duration_s=0.1,
-                attempt_durations=[0.1],
-                attempt_started=[0.0],
                 error="AnalysisError: no tests",
             ),
         ],
@@ -57,12 +48,12 @@ class TestBuild:
         t = data["totals"]
         assert t == {
             "stages": 3, "ok": 2, "cached": 0, "failed": 1, "skipped": 0,
-            "attempts": 5, "retries": 2, "wall_s": 3.6,
+            "wall_s": 3.6,
         }
-        flaky = data["stages"][1]
-        assert flaky["retries"] == 2
-        assert flaky["attempt_durations_s"] == [0.4, 0.4, 0.7]
-        assert flaky["rows_in"] == 1000 and flaky["rows_out"] == 990
+        assert data["stages"][1] == {
+            "name": "ingest", "status": "ok", "duration_s": 1.5,
+            "rows_in": 1000, "rows_out": 990, "error": None,
+        }
 
     def test_counters_fill_checkpoints_quarantine_faults(self):
         snapshot = {
@@ -88,7 +79,7 @@ class TestBuild:
         report = RunReport(
             key="k",
             results=[
-                StageResult(name="a", status=StageStatus.CACHED, attempts=0)
+                StageResult(name="a", status=StageStatus.CACHED)
             ],
         )
         data = build_run_report(report)
@@ -106,6 +97,7 @@ class TestBuild:
 
     def test_validates_against_checked_in_schema(self):
         data = build_run_report(make_pipeline_report(), run_id="r1")
+        assert data["schema_version"] == 2
         assert validate_run_report(data) == []
 
     def test_trace_health_defaults_without_tracer(self):
@@ -128,18 +120,32 @@ class TestBuild:
 
 
 class TestRender:
-    def test_render_lists_stages_attempts_and_totals(self):
+    def test_render_lists_stages_and_totals(self):
         text = render_run_report(build_run_report(make_pipeline_report()))
-        assert "generate" in text
-        assert "failed" in text
-        assert "attempt 3: 0.700s" in text  # retried stage shows attempts
-        assert "totals: 3 stages" in text
-        assert "AnalysisError" in text
+        lines = text.splitlines()
+        assert lines[1].split() == [
+            "stage", "status", "wall_s", "rows_in", "rows_out", "error"
+        ]
+        assert lines[2].split() == ["generate", "ok", "2.000", "-", "1000"]
+        assert "AnalysisError" in lines[4]
+        assert lines[5] == (
+            "totals: 3 stages (2 ok, 0 cached, 1 failed, 0 skipped); wall 3.600s"
+        )
 
     def test_clean_stage_hides_attempt_lines(self):
-        text = render_run_report(build_run_report(make_pipeline_report()))
-        # the single-attempt OK stage gets no per-attempt breakdown
-        assert "attempt 1: 2.000s" not in text
+        # A schema-v1 report still renders: its attempt fields are ignored,
+        # so it prints exactly what the same run's v2 report prints.
+        v2 = build_run_report(make_pipeline_report())
+        v1 = json.loads(json.dumps(v2))
+        v1["schema_version"] = 1
+        v1["totals"].update(attempts=3, retries=0)
+        for row in v1["stages"]:
+            row.update(
+                attempts=1, retries=0, attempt_durations_s=[row["duration_s"]]
+            )
+        text = render_run_report(v1)
+        assert "attempt" not in text
+        assert text == render_run_report(v2)
 
     def test_leaked_spans_warn_by_name(self):
         clock = iter(float(i) for i in range(100)).__next__
@@ -202,6 +208,15 @@ class TestValidate:
         assert any("exploded" in e for e in validate_run_report(data))
 
     def test_negative_attempts_flagged(self):
+        # Schema v2 has no attempt fields: a stage row or totals block that
+        # still carries one (negative or not) is rejected.
         data = build_run_report(make_pipeline_report())
-        data["stages"][0]["attempts"] = -1
-        assert any("minimum" in e for e in validate_run_report(data))
+        data["stages"][0].update(attempts=-1, retries=0, attempt_durations_s=[])
+        data["totals"].update(attempts=1, retries=0)
+        assert validate_run_report(data) == [
+            ".totals: unexpected key 'attempts'",
+            ".totals: unexpected key 'retries'",
+            ".stages[0]: unexpected key 'attempts'",
+            ".stages[0]: unexpected key 'retries'",
+            ".stages[0]: unexpected key 'attempt_durations_s'",
+        ]

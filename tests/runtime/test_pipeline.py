@@ -1,4 +1,4 @@
-"""Tests for the staged pipeline executor: retries, checkpoints, degradation."""
+"""Tests for the staged pipeline executor: one run, checkpoints, degradation."""
 
 import pytest
 
@@ -7,100 +7,56 @@ from repro.runtime.pipeline import PipelineRunner, Stage, StageStatus
 from repro.util.errors import PipelineError, ReproError, StageFailure
 
 
-def runner(**kwargs):
-    """A runner that never really sleeps (delays recorded on .slept)."""
-    slept = []
-    r = PipelineRunner(sleep=slept.append, **kwargs)
-    r.slept = slept
-    return r
-
-
 class TestBasicExecution:
     def test_stages_run_in_order_over_shared_context(self):
         stages = [
             Stage(name="a", fn=lambda ctx: 1),
             Stage(name="b", fn=lambda ctx: ctx["a"] + 1),
         ]
-        context, report = runner().run(stages)
+        context, report = PipelineRunner().run(stages)
         assert context["a"] == 1 and context["b"] == 2
         assert report.ok
         assert [r.status for r in report.results] == [StageStatus.OK] * 2
 
     def test_report_records_attempts_and_duration(self):
+        calls = []
         clock = iter(range(100))
-        r = PipelineRunner(sleep=lambda s: None, clock=lambda: next(clock))
-        _, report = r.run([Stage(name="a", fn=lambda ctx: None)])
+        r = PipelineRunner(clock=lambda: next(clock))
+        _, report = r.run([Stage(name="a", fn=lambda ctx: calls.append(1))])
         result = report.result("a")
-        assert result.attempts == 1
+        assert len(calls) == 1  # one attempt: stages are never retried
+        assert result.status is StageStatus.OK
         assert result.duration_s >= 0
 
     def test_duplicate_stage_names_rejected(self):
         stages = [Stage(name="x", fn=lambda c: 1), Stage(name="x", fn=lambda c: 2)]
         with pytest.raises(PipelineError, match="duplicate"):
-            runner().run(stages)
+            PipelineRunner().run(stages)
 
     def test_unknown_stage_in_report_raises(self):
-        _, report = runner().run([Stage(name="a", fn=lambda c: 1)])
+        _, report = PipelineRunner().run([Stage(name="a", fn=lambda c: 1)])
         with pytest.raises(PipelineError, match="nope"):
             report.result("nope")
 
 
 class TestRetry:
-    def test_transient_failure_retried_until_success(self):
-        calls = []
-
-        def flaky(ctx):
-            calls.append(1)
-            if len(calls) < 3:
-                raise ValueError("transient")
-            return "done"
-
-        r = runner()
-        _, report = r.run(
-            [Stage(name="a", fn=flaky, retries=3, retry_on=(ValueError,))]
-        )
-        assert report.result("a").status is StageStatus.OK
-        assert report.result("a").attempts == 3
-        assert len(r.slept) == 2  # slept between the three attempts
-
-    def test_backoff_is_exponential_jittered_and_seeded(self):
-        r1 = runner(seed=42, backoff_base=0.25)
-        r2 = runner(seed=42, backoff_base=0.25)
-        d1 = r1.backoff_delays("stage", 4)
-        assert d1 == r2.backoff_delays("stage", 4)  # deterministic per seed
-        assert d1 != runner(seed=43).backoff_delays("stage", 4)
-        for k, delay in enumerate(d1):
-            base = 0.25 * 2**k
-            assert base * 0.5 <= delay < base * 1.5  # jitter in [0.5, 1.5)
-
-    def test_sleeps_match_declared_backoff(self):
-        attempts = []
-
-        def always_fails(ctx):
-            attempts.append(1)
-            raise ValueError("nope")
-
-        r = runner(seed=7)
-        expected = r.backoff_delays("a", 2)
-        with pytest.raises(StageFailure):
-            r.run([Stage(name="a", fn=always_fails, retries=2, retry_on=(ValueError,))])
-        assert r.slept == pytest.approx(expected)
-        assert len(attempts) == 3
-
-    def test_backoff_capped(self):
-        r = runner(backoff_base=10.0, backoff_cap=15.0)
-        assert all(d <= 15.0 * 1.5 for d in r.backoff_delays("a", 6))
+    """No stage is retried: each is a deterministic function of its inputs,
+    so a stage that raised would raise the same way again."""
 
     def test_non_retryable_exception_not_retried(self):
         calls = []
 
         def fails(ctx):
             calls.append(1)
-            raise KeyError("boom")
+            raise ValueError("boom")
 
+        _, report = PipelineRunner().run(
+            [Stage(name="a", fn=fails, allow_failure=True)]
+        )
+        assert report.result("a").status is StageStatus.FAILED
         with pytest.raises(StageFailure):
-            runner().run([Stage(name="a", fn=fails, retries=3, retry_on=(ValueError,))])
-        assert len(calls) == 1
+            PipelineRunner().run([Stage(name="a", fn=fails)])
+        assert len(calls) == 2  # one run per pipeline
 
 
 class TestFailureModes:
@@ -114,7 +70,7 @@ class TestFailureModes:
             Stage(name="c", fn=lambda c: 3),
         ]
         with pytest.raises(StageFailure, match="stage 'b' failed") as excinfo:
-            runner().run(stages)
+            PipelineRunner().run(stages)
         exc = excinfo.value
         assert isinstance(exc, ReproError)
         assert exc.stage == "b" and isinstance(exc.cause, ValueError)
@@ -132,7 +88,7 @@ class TestFailureModes:
             Stage(name="b", fn=boom, allow_failure=True),
             Stage(name="c", fn=lambda c: 3),
         ]
-        context, report = runner().run(stages)
+        context, report = PipelineRunner().run(stages)
         assert context["c"] == 3 and "b" not in context
         assert not report.ok
         failure = report.result("b")
@@ -148,7 +104,7 @@ class TestFailureModes:
                 allow_failure=True,
             )
         ]
-        _, report = runner().run(stages)
+        _, report = PipelineRunner().run(stages)
         text = report.summary()
         assert "failed" in text and "b" in text
 
@@ -163,12 +119,12 @@ class TestCheckpointing:
             return "value"
 
         stage = [Stage(name="gen", fn=expensive, checkpoint=True)]
-        r1 = PipelineRunner(checkpoints=store, key="k", sleep=lambda s: None)
+        r1 = PipelineRunner(checkpoints=store, key="k")
         r1.run(stage)
         assert calls == [1]
 
         r2 = PipelineRunner(
-            checkpoints=store, key="k", resume=True, sleep=lambda s: None
+            checkpoints=store, key="k", resume=True
         )
         context, report = r2.run(stage)
         assert calls == [1]  # not recomputed
@@ -182,8 +138,8 @@ class TestCheckpointing:
         stage = [
             Stage(name="gen", fn=lambda c: calls.append(1) or len(calls), checkpoint=True)
         ]
-        PipelineRunner(checkpoints=store, key="k", sleep=lambda s: None).run(stage)
-        PipelineRunner(checkpoints=store, key="k", sleep=lambda s: None).run(stage)
+        PipelineRunner(checkpoints=store, key="k").run(stage)
+        PipelineRunner(checkpoints=store, key="k").run(stage)
         assert len(calls) == 2
         assert store.hits == 0
 
@@ -195,52 +151,10 @@ class TestCheckpointing:
 class TestAttemptTiming:
     def test_successful_stage_records_one_attempt(self):
         clock = iter(float(i) for i in range(100))
-        r = PipelineRunner(sleep=lambda s: None, clock=clock.__next__)
+        r = PipelineRunner(clock=clock.__next__)
         _, report = r.run([Stage(name="a", fn=lambda c: None)])
-        result = report.result("a")
-        assert len(result.attempt_durations) == 1
-        assert len(result.attempt_started) == 1
-        assert result.attempt_started[0] >= 0.0
-        assert result.retries == 0
-
-    def test_retried_stage_records_every_attempt(self):
-        calls = []
-
-        def flaky(ctx):
-            calls.append(1)
-            if len(calls) < 3:
-                raise ValueError("transient")
-            return "ok"
-
-        clock = iter(float(i) for i in range(100))
-        r = PipelineRunner(sleep=lambda s: None, clock=clock.__next__)
-        _, report = r.run(
-            [Stage(name="a", fn=flaky, retries=3, retry_on=(ValueError,))]
-        )
-        result = report.result("a")
-        assert len(result.attempt_durations) == 3
-        assert len(result.attempt_started) == 3
-        # start offsets are measured from the stage start, in order
-        assert result.attempt_started[0] >= 0.0
-        assert result.attempt_started == sorted(result.attempt_started)
-        assert result.attempt_started[-1] > result.attempt_started[0]
-        assert result.retries == 2
-
-    def test_stage_failure_carries_attempt_timing(self):
-        def always_fails(ctx):
-            raise ValueError("nope")
-
-        clock = iter(float(i) for i in range(100))
-        r = PipelineRunner(sleep=lambda s: None, clock=clock.__next__)
-        with pytest.raises(StageFailure) as ei:
-            r.run(
-                [Stage(name="a", fn=always_fails, retries=2, retry_on=(ValueError,))]
-            )
-        exc = ei.value
-        assert len(exc.attempt_durations) == 3
-        assert len(exc.attempt_started) == 3
-        assert exc.retry_latency_s() > 0
-        assert "over" in str(exc)
+        # one clock read before the stage's one run, one after it
+        assert report.result("a").duration_s == 1.0
 
 
 class TestRowFlow:
@@ -254,7 +168,7 @@ class TestRowFlow:
             Stage(name="filter", fn=lambda c: self.FakeTable(90)),
             Stage(name="render", fn=lambda c: "text section"),
         ]
-        _, report = runner().run(stages)
+        _, report = PipelineRunner().run(stages)
         gen, filt, render = report.results
         assert gen.rows_in is None and gen.rows_out == 100
         assert filt.rows_in == 100 and filt.rows_out == 90
@@ -287,22 +201,22 @@ class TestObsIntegration:
         from repro import obs
 
         obs.enable(trace=True, metrics=True)
-        calls = []
 
-        def flaky(ctx):
-            calls.append(1)
-            if len(calls) < 2:
-                raise ValueError("transient")
-            return "ok"
+        def boom(ctx):
+            raise ValueError("dead")
 
-        r = runner()
-        r.run([Stage(name="a", fn=flaky, retries=2, retry_on=(ValueError,))])
+        PipelineRunner().run(
+            [
+                Stage(name="a", fn=lambda c: "ok"),
+                Stage(name="b", fn=boom, allow_failure=True),
+            ]
+        )
         spans = obs.tracer().find("stage.a")
         assert len(spans) == 1
-        assert spans[0].attrs["status"] == "ok"
-        assert spans[0].attrs["attempts"] == 2
+        assert spans[0].attrs == {"kind": "stage", "status": "ok", "rows_out": None}
+        assert obs.tracer().find("stage.b")[0].attrs["status"] == "failed"
         snap = obs.metrics_snapshot()
-        assert snap["counters"]["pipeline.retries"] == 1
+        assert snap["counters"]["pipeline.stage_failures"] == 1
 
     def test_failed_stage_span_marked(self):
         from repro import obs
@@ -313,7 +227,7 @@ class TestObsIntegration:
             raise ValueError("dead")
 
         with pytest.raises(StageFailure):
-            runner().run([Stage(name="a", fn=boom)])
+            PipelineRunner().run([Stage(name="a", fn=boom)])
         span = obs.tracer().find("stage.a")[0]
         assert span.attrs["status"] == "failed"
         assert span.end_s is not None
@@ -322,7 +236,7 @@ class TestObsIntegration:
     def test_pipeline_untraced_when_obs_off(self):
         from repro import obs
 
-        _, report = runner().run([Stage(name="a", fn=lambda c: 1)])
+        _, report = PipelineRunner().run([Stage(name="a", fn=lambda c: 1)])
         assert report.ok
         assert obs.tracer() is None
 
@@ -337,13 +251,13 @@ class TestResumeRecovery:
         stage = [
             Stage(name="gen", fn=lambda c: calls.append(1) or "value", checkpoint=True)
         ]
-        PipelineRunner(checkpoints=store, key="k", sleep=lambda s: None).run(stage)
+        PipelineRunner(checkpoints=store, key="k").run(stage)
         for path in glob.glob(os.path.join(str(tmp_path), "k", "gen.g*")):
             with open(path, "r+b") as fh:
                 fh.write(b"XXXX")
 
         r2 = PipelineRunner(
-            checkpoints=store, key="k", resume=True, sleep=lambda s: None
+            checkpoints=store, key="k", resume=True
         )
         context, report = r2.run(stage)
         assert calls == [1, 1]  # recomputed, not crashed
@@ -356,17 +270,17 @@ class TestResumeRecovery:
 
         store = CheckpointStore(str(tmp_path))
         stage = [Stage(name="gen", fn=lambda c: "value", checkpoint=True)]
-        PipelineRunner(checkpoints=store, key="k", sleep=lambda s: None).run(stage)
+        PipelineRunner(checkpoints=store, key="k").run(stage)
         for path in glob.glob(os.path.join(str(tmp_path), "k", "gen.g*")):
             with open(path, "r+b") as fh:
                 fh.write(b"XXXX")
         PipelineRunner(
-            checkpoints=store, key="k", resume=True, sleep=lambda s: None
+            checkpoints=store, key="k", resume=True
         ).run(stage)
 
         # The rewritten generation must now satisfy a fresh resume.
         r3 = PipelineRunner(
-            checkpoints=store, key="k", resume=True, sleep=lambda s: None
+            checkpoints=store, key="k", resume=True
         )
         _, report = r3.run(stage)
         assert report.result("gen").status is StageStatus.CACHED

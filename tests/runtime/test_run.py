@@ -22,11 +22,7 @@ CONFIG = GeneratorConfig(seed=3, scale=0.02)
 def make_runner(tmp_path, config=CONFIG, resume=False):
     store = CheckpointStore(str(tmp_path))
     return store, PipelineRunner(
-        checkpoints=store,
-        key=config_key(config),
-        resume=resume,
-        seed=config.seed,
-        sleep=lambda s: None,
+        checkpoints=store, key=config_key(config), resume=resume
     )
 
 
@@ -158,7 +154,7 @@ class TestExperimentRegistry:
             sections, report = run_experiments(
                 small_dataset,
                 names=["table3", "table5", "table6"],
-                runner=PipelineRunner(sleep=lambda s: None),
+                runner=PipelineRunner(),
             )
         finally:
             rpt._tables_3_5_6 = original
@@ -193,6 +189,37 @@ class TestOneFailurePath:
             assert "figure 9 bug" in failure.error
             assert "Traceback" in failure.traceback
         assert "skipped" not in run.render()
+
+    @pytest.mark.parametrize(
+        "target, names",
+        [
+            ("as_change_table", ["table3", "table5", "table6"]),
+            ("path_performance", ["table2", "fig9"]),
+        ],
+    )
+    def test_failing_shared_section_runs_once(
+        self, tmp_path, monkeypatch, target, names
+    ):
+        import repro.analysis.report as rpt
+
+        calls = []
+
+        def broken(*args):
+            calls.append(1)
+            raise RuntimeError(f"{target} bug")
+
+        monkeypatch.setattr(rpt, target, broken)
+        _, runner = make_runner(tmp_path)
+        run = run_pipeline(CONFIG, experiments=names, runner=runner)
+        assert len(calls) == 1
+        assert run.exit_code == EXIT_ANALYSIS
+        assert run.sections == {}
+        failures = run.report.failures()
+        assert [f.name for f in failures] == names
+        assert {f.error for f in failures} == {f"RuntimeError: {target} bug"}
+        # every name shows the section's own traceback, not a stack of
+        # earlier re-raises
+        assert len({f.traceback for f in failures}) == 1
 
     def test_analysis_error_prints_the_skipped_line(self, tmp_path, monkeypatch):
         import repro.analysis.report as rpt

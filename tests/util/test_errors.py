@@ -38,7 +38,7 @@ class TestHierarchy:
             raise cls("boom")
 
     def test_stage_failure_is_pipeline_error(self):
-        exc = StageFailure("generate", 3, ValueError("disk full"))
+        exc = StageFailure("generate", 1, ValueError("disk full"))
         assert isinstance(exc, PipelineError)
         assert isinstance(exc, ReproError)
 
@@ -57,39 +57,17 @@ class TestHierarchy:
 class TestContextInStr:
     def test_stage_failure_carries_stage_attempts_cause(self):
         cause = ValueError("disk full")
-        exc = StageFailure("generate", 3, cause)
+        exc = StageFailure("generate", 1, cause)
         assert exc.stage == "generate"
-        assert exc.attempts == 3
+        assert exc.attempts == 1
         assert exc.cause is cause
-        text = str(exc)
-        assert "generate" in text and "3 attempts" in text and "disk full" in text
+        assert str(exc) == "stage 'generate' failed: ValueError: disk full"
 
     def test_stage_failure_singular_attempt(self):
-        assert "1 attempt:" in str(StageFailure("x", 1, RuntimeError("y")))
-
-    def test_stage_failure_records_attempt_timing(self):
-        # Regression: a retried stage's failure must say how long the
-        # attempts took and when each started, not just how many there were.
-        exc = StageFailure(
-            "generate",
-            3,
-            ValueError("disk full"),
-            attempt_durations=[0.5, 0.25, 0.25],
-            attempt_started=[0.0, 1.0, 2.5],
-        )
-        assert exc.attempt_durations == (0.5, 0.25, 0.25)
-        assert exc.attempt_started == (0.0, 1.0, 2.5)
-        assert exc.retry_latency_s() == 2.5
-        text = str(exc)
-        assert "3 attempts" in text
-        assert "over 1.00s" in text  # summed attempt durations
-
-    def test_stage_failure_timing_defaults_empty(self):
-        exc = StageFailure("x", 1, RuntimeError("y"))
-        assert exc.attempt_durations == ()
-        assert exc.attempt_started == ()
-        assert exc.retry_latency_s() == 0.0
-        assert "over" not in str(exc)
+        # each stage runs once, so the message does not count attempts
+        text = str(StageFailure("x", 1, RuntimeError("y")))
+        assert text == "stage 'x' failed: RuntimeError: y"
+        assert "attempt" not in text
 
     def test_validation_failure_carries_report(self):
         exc = ValidationFailure(make_report())
