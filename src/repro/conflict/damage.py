@@ -18,7 +18,7 @@ Two distinct processes, matching the paper's decomposition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -89,15 +89,19 @@ class LinkOutageSchedule:
             return True
         return bool(states[self.grid.index_of(day)])
 
+    def down_links(self, day: DayLike) -> FrozenSet[Hashable]:
+        """The links down on ``day``; empty for a day outside the grid."""
+        d = Day.of(day)
+        if not self.grid.start <= d <= self.grid.end:
+            return frozenset()
+        return frozenset(link for link in self._states if not self.is_up(link, d))
+
     def downtime_days(self, link_id: Hashable) -> int:
         states = self._states.get(link_id)
         return 0 if states is None else int((~states).sum())
 
     def links(self) -> Iterable[Hashable]:
         return self._states.keys()
-
-    def total_down_days(self) -> int:
-        return sum(self.downtime_days(link) for link in self._states)
 
 
 class LinkDamageProcess:

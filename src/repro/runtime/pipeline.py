@@ -219,10 +219,10 @@ class PipelineRunner:
                     status=result.status.value,
                 )
             record_value_memory(stage.name, context.get(stage.name))
-            if result.status is StageStatus.FAILED and not stage.allow_failure:
-                failed_fatal = StageFailure(
-                    stage.name, 1, context.pop("__last_error__")
-                )
+            if result.status is StageStatus.FAILED:
+                error = context.pop("__last_error__")
+                if not stage.allow_failure:
+                    failed_fatal = StageFailure(stage.name, 1, error)
         context["__report__"] = report
         if failed_fatal is not None:
             failed_fatal.report = report

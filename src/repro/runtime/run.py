@@ -1,8 +1,9 @@
 """End-to-end orchestration: generate → inject → ingest → analyze.
 
 This is what ``repro report`` / ``repro experiment`` execute.  The generate
-stage is checkpointed under a key derived from the GeneratorConfig, so a
-run killed after generation can resume without regenerating; every
+stage is checkpointed under a key derived from the GeneratorConfig and the
+:class:`Dataset` fields, so a run killed after generation can resume
+without regenerating, and never loads a dataset of another shape; every
 experiment runs with graceful degradation and the whole thing ends in a
 :class:`ReportRun` whose ``render()`` is the CLI's output and whose
 ``exit_code`` distinguishes generation from analysis failures.
@@ -12,7 +13,7 @@ experiment runs with graceful degradation and the whole thing ends in a
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs
@@ -170,9 +171,12 @@ def run_pipeline(
 
     if runner is None:
         store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+        # The generate checkpoint pickles a Dataset, so its fields are part
+        # of the key: a resumed run never loads one of another shape.
+        shape = {"dataset_fields": [f.name for f in fields(Dataset)]}
         runner = PipelineRunner(
             checkpoints=store,
-            key=config_key(config) if store else "",
+            key=config_key(config, extra=shape) if store else "",
             resume=resume,
         )
     try:

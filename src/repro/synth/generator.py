@@ -37,7 +37,7 @@ once over the finished columns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -147,7 +147,12 @@ class GeneratorConfig:
 
 @dataclass
 class Dataset:
-    """Generated tables plus the objects needed to interpret them."""
+    """Generated tables plus the objects needed to interpret them.
+
+    ``router`` and ``outages`` are the run's own routing state: the router
+    that routed every generated test, and the link-outage schedule that
+    gave it each day's down links.
+    """
 
     ndt: Table
     traces: Table
@@ -155,9 +160,55 @@ class Dataset:
     geodb: GeoDatabase
     config: GeneratorConfig
     calibration: Calibration
-    intensity: IntensityModel
+    router: StickyRouter
+    outages: LinkOutageSchedule
     n_unroutable: int = 0
     periods: Dict[str, Period] = field(default_factory=dict)
+
+    def route_log(self) -> Table:
+        """The route in effect for every (day, eyeball AS, M-Lab site) of 2022.
+
+        What a BGP collector would log over the study window's 2022 days
+        (prewar start through wartime end), resolved by :attr:`router` with
+        each day's down links from :attr:`outages`, so a tested pair-day logs
+        the route its traceroute took.  Rows run day-major over sorted
+        eyeball ASNs x sorted site ASNs.  ``as_path`` reads server -> client,
+        as in the traces table, and is null when the pair is partitioned.
+        The log is built on each call; generation does not pay for it.
+        """
+        topo = self.topology
+        eyeballs = sorted(topo.eyeball_asns())
+        sites = [(asn, topo.mlab_sites[asn].code) for asn in sorted(topo.mlab_sites)]
+        as_paths: Dict[Tuple[int, ...], str] = {}
+        data: Dict[str, List[object]] = {
+            Cols.DAY: [], Cols.ASN: [], Cols.SITE: [], Cols.AS_PATH: []
+        }
+        add_day = data[Cols.DAY].append
+        add_asn = data[Cols.ASN].append
+        add_site = data[Cols.SITE].append
+        add_as_path = data[Cols.AS_PATH].append
+        grid = DayGrid(self.periods["prewar"].start, self.periods["wartime"].end)
+        for day in grid.days():
+            down = self.outages.down_links(day)
+            for asn in eyeballs:
+                for site_asn, code in sites:
+                    path = self.router.route(asn, site_asn, day.ordinal, down)
+                    as_path = None
+                    if path is not None:
+                        as_path = as_paths.get(path.asns)
+                        if as_path is None:
+                            as_path = as_paths[path.asns] = pathrecord.join(
+                                str(a) for a in reversed(path.asns)
+                            )
+                    add_day(day.ordinal)
+                    add_asn(asn)
+                    add_site(code)
+                    add_as_path(as_path)
+        return Table.from_dict(
+            data,
+            {Cols.DAY: DType.INT, Cols.ASN: DType.INT, Cols.SITE: DType.STR,
+             Cols.AS_PATH: DType.STR},
+        )
 
 
 def study_periods() -> Dict[str, Period]:
@@ -353,9 +404,7 @@ class DatasetGenerator:
             if (cfg.war_enabled and cfg.rerouting_enabled)
             else [],
         )
-        selector = RouteSelector(
-            topo.graph, lambda link, day: quality.quality(link, day)
-        )
+        selector = RouteSelector(topo.graph, quality.quality)
         router = StickyRouter(
             selector, seed=cfg.seed, epoch_days=cfg.bgp_epoch_days
         )
@@ -575,14 +624,7 @@ class DatasetGenerator:
                 date = day.iso()
                 day_year = day.date().year
                 in_war = wartime and intensity.is_wartime(day)
-                if in_war:
-                    down = frozenset(
-                        key
-                        for key in topo.war_sensitive_links()
-                        if not outages.is_up(key, day)
-                    )
-                else:
-                    down = frozenset()
+                down = outages.down_links(day)
                 tput_factor = (
                     _OUTAGE_TPUT_FACTOR
                     if (in_war and day_ordinal in outage_days)
@@ -686,7 +728,8 @@ class DatasetGenerator:
             geodb=geodb,
             config=cfg,
             calibration=self.calibration,
-            intensity=intensity,
+            router=router,
+            outages=outages,
             n_unroutable=n_unroutable,
             periods=periods,
         )

@@ -102,9 +102,6 @@ class LinkQualityModel:
             quality = self._qualities[key] = max(_QUALITY_FLOOR, quality)
         return quality
 
-    def has_schedule(self, link_key: LinkKey) -> bool:
-        return link_key in self._schedules
-
     def performance_quality(self, link: Link, day_ordinal: int) -> float:
         """Quality as felt by *traffic* (ignores routing-only schedules).
 

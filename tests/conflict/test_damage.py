@@ -118,7 +118,7 @@ class TestLinkDamage:
         # With a 60% daily repair rate, no link should be down the whole war.
         wartime_days = 54
         assert all(sched.downtime_days(i) < wartime_days for i in range(50))
-        assert sched.total_down_days() > 0
+        assert sum(sched.downtime_days(i) for i in range(50)) > 0
 
     def test_unknown_link_reported_up(self, intensity, hub):
         proc = LinkDamageProcess(intensity)
@@ -130,6 +130,13 @@ class TestLinkDamage:
         sched = proc.simulate(self.links(), self.GRID, hub.stream("links"))
         with pytest.raises(ValueError):
             sched.is_up(("AS15895", "AS3255", "Kyiv"), "2023-01-01")
+
+    def test_down_links_empty_outside_grid(self, intensity):
+        proc = LinkDamageProcess(intensity, base_hazard=1.0)
+        sched = proc.simulate(self.links(), self.GRID, RngHub(7).stream("links"))
+        assert sched.down_links(self.GRID.start) == set(self.links())
+        assert sched.down_links("2021-12-31") == frozenset()
+        assert sched.down_links("2022-04-19") == frozenset()
 
     def test_deterministic(self, intensity):
         proc = LinkDamageProcess(intensity)

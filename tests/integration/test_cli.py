@@ -7,8 +7,8 @@ from repro.runtime.run import EXIT_ANALYSIS, EXIT_GENERATION
 
 
 class TestReport:
-    def test_report_prints_all_artifacts(self, capsys):
-        assert main(["--scale", "0.04", "report"]) == 0
+    def test_report_prints_all_artifacts(self, tmp_path, capsys):
+        assert main(["--scale", "0.04", "--checkpoint-dir", str(tmp_path), "report"]) == 0
         out = capsys.readouterr().out
         for marker in ["Table 1", "Table 2", "Table 3", "Figure 2", "Figure 5",
                        "Figure 6", "Kyivstar", "Mariupol"]:
@@ -25,8 +25,9 @@ class TestExperiment:
         ("outages", "outage-shaped"),
         ("hopgeo", "agreement"),
     ])
-    def test_single_experiments(self, capsys, name, marker):
-        assert main(["--scale", "0.04", "experiment", name]) == 0
+    def test_single_experiments(self, tmp_path, capsys, name, marker):
+        args = ["--scale", "0.04", "--checkpoint-dir", str(tmp_path)]
+        assert main(args + ["experiment", name]) == 0
         assert marker in capsys.readouterr().out
 
     def test_unknown_experiment_rejected(self):

@@ -19,7 +19,11 @@ def traced_run(tmp_path_factory):
     obs.reset()
     obs.enable(trace=True, metrics=True)
     try:
-        run = run_pipeline(CONFIG, experiments=["table1", "hopgeo"])
+        run = run_pipeline(
+            CONFIG,
+            experiments=["table1", "hopgeo"],
+            checkpoint_dir=str(tmp_path_factory.mktemp("checkpoints")),
+        )
         tracer = obs.tracer()
         snapshot = obs.metrics_snapshot()
     finally:

@@ -96,6 +96,17 @@ class TestFailureModes:
         assert "ValueError: dead" in failure.error
         assert "Traceback" in failure.traceback
 
+    def test_degraded_failure_leaves_no_error_in_context(self):
+        def boom(ctx):
+            raise ValueError("dead")
+
+        stages = [
+            Stage(name="a", fn=boom, allow_failure=True),
+            Stage(name="b", fn=lambda c: 2),
+        ]
+        context, _report = PipelineRunner().run(stages)
+        assert sorted(context) == ["__report__", "b"]
+
     def test_summary_mentions_failures(self):
         stages = [
             Stage(

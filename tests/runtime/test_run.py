@@ -42,6 +42,21 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="unknown experiments"):
             run_pipeline(CONFIG, experiments=["fig99"], checkpoint_dir=str(tmp_path))
 
+    def test_resume_skips_a_checkpoint_keyed_by_the_config_alone(self, tmp_path):
+        # Older code keyed the generate checkpoint by the config alone and
+        # pickled a Dataset of another shape: resuming must regenerate.
+        CheckpointStore(str(tmp_path)).save(
+            config_key(CONFIG), "generate", "a dataset of another shape"
+        )
+        first = run_pipeline(
+            CONFIG, experiments=[], resume=True, checkpoint_dir=str(tmp_path)
+        )
+        assert first.report.result("generate").status is StageStatus.OK
+        again = run_pipeline(
+            CONFIG, experiments=[], resume=True, checkpoint_dir=str(tmp_path)
+        )
+        assert again.report.result("generate").status is StageStatus.CACHED
+
     def test_killed_after_generate_resumes_from_checkpoint(self, tmp_path):
         # First run "dies" right after the generate stage: the ingest stage
         # raises, which aborts the run — but generate's checkpoint survives.

@@ -1,4 +1,4 @@
-"""Pinned outputs: the generated tables and the churn replay, by fingerprint.
+"""Pinned outputs: the generated tables and the route churn, by fingerprint.
 
 ``test_same_seed_same_dataset`` compares two runs of the same code, so a
 change that alters every run alike passes it.  These constants pin the
@@ -8,6 +8,10 @@ change to a single generated value fails here.  ``BRANCHES`` pins the same
 outputs for another seed and for each ablation switch, which take code
 paths the default run does not (no war, no rerouting, uniform damage, no
 2021 baseline).  Caches and other pure speed-ups must leave them alone.
+The churn is the day-over-day diff of ``Dataset.route_log()``, the routes
+the generator's own router had in effect, so it is pinned with the tables;
+``test_route_log_agrees_with_traces`` checks that log against every 2022
+traceroute of the same run.
 
 Re-baselining on purpose -- a change that is meant to alter the data, such
 as a new RNG draw order or a new model term -- goes like this: print the new
@@ -19,7 +23,7 @@ values with::
     from repro.synth import DatasetGenerator, GeneratorConfig
     ds = DatasetGenerator(GeneratorConfig(seed=20220224, scale=0.02)).generate()
     print(fp(ds.ndt)['fingerprint'], fp(ds.traces)['fingerprint'],
-          fp(daily_route_churn(ds))['fingerprint'])"
+          fp(daily_route_churn(ds))['fingerprint'], ds.n_unroutable)"
 
 paste them below (``BRANCHES`` the same way, with each configuration's
 overrides), and regenerate the committed ``results/`` in the same
@@ -31,6 +35,7 @@ import pytest
 from repro.analysis.routing_churn import daily_route_churn
 from repro.obs.lineage import fingerprint_table
 from repro.synth import DatasetGenerator, GeneratorConfig
+from repro.tables.schema import Cols
 
 SEED = 20220224
 SCALE = 0.02
@@ -94,9 +99,27 @@ BRANCHES = {
 }
 
 
+#: Every pinned configuration's overrides, the default run's included.
+CONFIGS = {"default": {}, **{name: spec[0] for name, spec in BRANCHES.items()}}
+
+
 @pytest.fixture(scope="module")
-def dataset():
-    return DatasetGenerator(GeneratorConfig(seed=SEED, scale=SCALE)).generate()
+def generated():
+    """Each configuration's dataset, generated once for this module."""
+    datasets = {}
+
+    def get(name):
+        if name not in datasets:
+            config = GeneratorConfig(**{"seed": SEED, "scale": SCALE, **CONFIGS[name]})
+            datasets[name] = DatasetGenerator(config).generate()
+        return datasets[name]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def dataset(generated):
+    return generated("default")
 
 
 @pytest.mark.parametrize("name", ["ndt", "traces"])
@@ -115,10 +138,9 @@ def test_route_churn_pinned(dataset):
 
 
 @pytest.mark.parametrize("branch", sorted(BRANCHES))
-def test_branch_pinned(branch):
-    overrides, pinned, unroutable = BRANCHES[branch]
-    config = GeneratorConfig(**{"seed": SEED, "scale": SCALE, **overrides})
-    ds = DatasetGenerator(config).generate()
+def test_branch_pinned(generated, branch):
+    _overrides, pinned, unroutable = BRANCHES[branch]
+    ds = generated(branch)
     outputs = {"ndt": ds.ndt, "traces": ds.traces, "churn": daily_route_churn(ds)}
     got = {}
     for name, table in outputs.items():
@@ -126,3 +148,39 @@ def test_branch_pinned(branch):
         got[name] = (fp["fingerprint"], fp["n_rows"])
     assert got == pinned
     assert ds.n_unroutable == unroutable
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_route_log_agrees_with_traces(generated, name):
+    """Each 2022 trace took the logged route of its (day, AS, site)."""
+    ds = generated(name)
+    log = ds.route_log()
+    topo = ds.topology
+    n_pairs = len(topo.eyeball_asns()) * len(topo.mlab_sites)
+    assert log.n_rows == 108 * n_pairs
+    logged = {
+        (day, asn, site): as_path
+        for day, asn, site, as_path in zip(
+            log[Cols.DAY].to_list(),
+            log[Cols.ASN].to_list(),
+            log[Cols.SITE].to_list(),
+            log[Cols.AS_PATH].to_list(),
+        )
+    }
+    assert len(logged) == log.n_rows
+    assert ds.ndt[Cols.TEST_ID].to_list() == ds.traces[Cols.TEST_ID].to_list()
+    n_checked = 0
+    for year, day, asn, site, as_path in zip(
+        ds.ndt[Cols.YEAR].to_list(),
+        ds.ndt[Cols.DAY].to_list(),
+        ds.ndt[Cols.ASN].to_list(),
+        ds.ndt[Cols.SITE].to_list(),
+        ds.traces[Cols.AS_PATH].to_list(),
+    ):
+        if year != 2022:
+            continue
+        route = logged[(day, asn, site)]
+        assert route is not None, (day, asn, site)
+        assert route == as_path, (day, asn, site)
+        n_checked += 1
+    assert n_checked > 1000

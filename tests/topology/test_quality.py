@@ -98,14 +98,6 @@ class TestLinkQualityModel:
         with pytest.raises(ValueError):
             LinkQualityModel(edge_damage, [sched, sched])
 
-    def test_has_schedule(self, edge_damage):
-        sched = DegradationSchedule(
-            (1, 2), Day.of("2022-02-24"), Day.of("2022-03-24"), 0.5
-        )
-        model = LinkQualityModel(edge_damage, [sched])
-        assert model.has_schedule((1, 2))
-        assert not model.has_schedule((3, 4))
-
     def test_resolved_once_per_link_city_and_day(self):
         class CountingDamage:
             calls = 0
