@@ -54,11 +54,21 @@ profile-smoke:
 # Live-observability smoke: a short replay through the streaming
 # aggregator + alert engine via the real CLI, then serve the health API
 # on an ephemeral port, probe every endpoint, and validate alerts.json
-# against docs/alerts.schema.json.  Part of the default `make test`.
+# against docs/alerts.schema.json.  A second replay must resume from the
+# smoke's last checkpoint (rebuilding the aggregator from the source) and
+# write the same alerts.json and window.json.  Checkpoints stay under
+# $(LIVE_SMOKE_DIR).  Part of the default `make test`.
 live-smoke:
 	rm -rf $(LIVE_SMOKE_DIR)
-	PYTHONPATH=$(PYTHONPATH) python -m repro --scale 0.05 live smoke \
+	PYTHONPATH=$(PYTHONPATH) python -m repro --scale 0.05 \
+		--checkpoint-dir $(LIVE_SMOKE_DIR)/checkpoints live smoke \
 		--out $(LIVE_SMOKE_DIR)
+	PYTHONPATH=$(PYTHONPATH) python -m repro --scale 0.05 --resume \
+		--checkpoint-dir $(LIVE_SMOKE_DIR)/checkpoints live replay \
+		--end 2022-03-12 --out $(LIVE_SMOKE_DIR)/resumed 2>&1 >/dev/null \
+		| grep "resumed from checkpoint at day 2022-03-13"
+	cmp $(LIVE_SMOKE_DIR)/alerts.json $(LIVE_SMOKE_DIR)/resumed/alerts.json
+	cmp $(LIVE_SMOKE_DIR)/window.json $(LIVE_SMOKE_DIR)/resumed/window.json
 
 # Perf-regression gate: unify the checked-in BENCH snapshots and compare
 # against the latest BENCH_history.jsonl record; exits 6 on a slowdown

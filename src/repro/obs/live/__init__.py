@@ -8,7 +8,7 @@ so each is independently testable (see ``docs/OBSERVABILITY.md``):
   metric) sliding-window state built on exact sums in one canonical
   form, so ``merge`` is associative and commutative *bit-for-bit* and
   any chunking of the same rows produces byte-identical snapshots and
-  checkpoints;
+  state;
 * **online degradation detection** (:mod:`~repro.obs.live.detect`) — a
   deterministic change-point engine: sliding Welch's t against a
   prewar baseline (``repro.stats.welch`` on summary moments) plus
@@ -17,9 +17,10 @@ so each is independently testable (see ``docs/OBSERVABILITY.md``):
   ``alerts.json`` (``docs/alerts.schema.json``);
 * **the ingest daemon** (:mod:`~repro.obs.live.daemon` +
   :mod:`~repro.obs.live.source`) — a simulated-clock loop replaying the
-  synthetic NDT stream day by day, checkpointing its window state
-  through :mod:`repro.storage` so ``repro chaos``-style kills resume
-  byte-identically;
+  synthetic NDT stream day by day, checkpointing its stream position
+  and alert engine through :mod:`repro.storage` and rebuilding the
+  window state from the stream on resume, so ``repro chaos``-style
+  kills resume byte-identically;
 * **the health service** (:mod:`~repro.obs.live.service`) — a
   stdlib-only threaded HTTP API (``repro live serve``) with
   snapshot-isolated reads: every tick publishes immutable pre-rendered

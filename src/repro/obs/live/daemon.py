@@ -5,16 +5,20 @@ a :class:`~repro.obs.live.window.SlidingWindowAggregator`, and an
 :class:`~repro.obs.live.detect.AlertEngine`, and advances a
 :class:`SimulatedClock` one day per tick: ingest the day's batches,
 close the day, evaluate the alert rules, notify subscribers (the health
-service), checkpoint.  Checkpoints go through
-:class:`repro.runtime.checkpoint.CheckpointStore` with the JSON codec —
-atomic, checksummed, generation-kept — so a kill at *any* announced
-crash point (``repro chaos`` style) resumes from the last committed day
-boundary and replays forward to byte-identical aggregates and alerts.
+service), checkpoint.  A checkpoint holds the stream position and the
+alert engine, not the aggregator: the replay source fixes every row, and
+exact sums make the aggregator a function of its rows, so a resume
+rebuilds it by re-ingesting the days before the position.  Checkpoints
+go through :class:`repro.runtime.checkpoint.CheckpointStore` with the
+JSON codec — atomic, checksummed, generation-kept — so a kill at *any*
+announced crash point (``repro chaos`` style) resumes from the last
+committed day boundary and replays forward to byte-identical aggregates
+and alerts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.faults.crashpoints import crash_point
@@ -35,11 +39,11 @@ __all__ = ["LiveDaemon", "SimulatedClock", "StateVersionError"]
 #: Checkpoint stage name (crash points: ``checkpoint.live.state:*``).
 STATE_STAGE = "live.state"
 
-#: Version of :meth:`LiveDaemon.to_state`.  2: canonical exact sums and
-#: day-bucket histograms kept as bucket counts only.  It is part of the
-#: checkpoint key, so a state of another version is never found, and
-#: :meth:`LiveDaemon.restore` refuses one.
-STATE_SCHEMA = 2
+#: Version of :meth:`LiveDaemon.to_state`.  3: the stream position and
+#: the alert engine only; the aggregator is rebuilt from the source.  It
+#: is part of the checkpoint key, so a state of another version is never
+#: found, and :meth:`LiveDaemon.restore` refuses one.
+STATE_SCHEMA = 3
 
 
 class StateVersionError(ReproError):
@@ -69,8 +73,11 @@ class LiveDaemon:
     """Replays the study window day by day with checkpointed state.
 
     ``checkpoint_dir=None`` runs fully in memory (tests, smoke);
-    otherwise every ``checkpoint_every`` closed days commit the full
-    (clock, aggregator, engine) state, and :meth:`resume` restores it.
+    otherwise every ``checkpoint_every`` closed days commit the stream
+    position and the alert engine, and :meth:`resume` restores them and
+    rebuilds the aggregator from the source.  The checkpoint key covers
+    the configs, the replay window and a fingerprint of the streamed
+    columns, so a checkpoint is resumed only against the rows it saw.
     Subscribers registered via :meth:`subscribe` see every day close
     with the day's alert-state changes — that is the service's feed.
     """
@@ -82,7 +89,6 @@ class LiveDaemon:
         detector_config: Optional[DetectorConfig] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 7,
-        keep: int = 3,
     ):
         self.source = source
         self.agg = SlidingWindowAggregator(window_config or WindowConfig())
@@ -93,12 +99,14 @@ class LiveDaemon:
                 f"window config retains {self.agg.config.retain_days()} days "
                 f"but the detector's longest rule window needs {needed}"
             )
+        if checkpoint_every < 1:
+            raise ReproError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
         self.clock = SimulatedClock(source.start)
-        self.checkpoint_every = max(1, int(checkpoint_every))
+        self.checkpoint_every = checkpoint_every
         self.store = (
-            CheckpointStore(checkpoint_dir, keep=keep, codec="json")
-            if checkpoint_dir
-            else None
+            CheckpointStore(checkpoint_dir, codec="json") if checkpoint_dir else None
         )
         self.key = config_key(
             {
@@ -110,6 +118,7 @@ class LiveDaemon:
                     "end": source.end,
                     "batch_rows": source.batch_rows,
                     "n_rows": source.n_rows,
+                    "fingerprint": source.fingerprint,
                 },
             }
         )
@@ -127,20 +136,36 @@ class LiveDaemon:
             "schema_version": STATE_SCHEMA,
             "next_day": self.clock.ordinal,
             "days_processed": self.days_processed,
-            "aggregator": self.agg.to_state(),
             "engine": self.engine.to_state(),
         }
 
     def restore(self, state: Dict[str, object]) -> None:
+        """Load the engine and position; rebuild the aggregator up to it.
+
+        Every day from the source's start to the position is ingested
+        and closed again, without detection, subscribers or checkpoints.
+        """
         version = state.get("schema_version")
         if version != STATE_SCHEMA:
             raise StateVersionError(
                 f"live state has schema_version {version!r}; this code reads "
                 f"{STATE_SCHEMA} only"
             )
-        self.agg = SlidingWindowAggregator.from_state(state["aggregator"])
+        next_day = int(state["next_day"])
+        if not self.source.start <= next_day <= self.source.end + 1:
+            raise ReproError(
+                f"live state resumes at {Day(next_day).iso()}, outside the "
+                f"replay window {Day(self.source.start).iso()}.."
+                f"{Day(self.source.end).iso()}"
+            )
         self.engine = AlertEngine.from_state(state["engine"])
-        self.clock = SimulatedClock(int(state["next_day"]))
+        self.agg = SlidingWindowAggregator(self.agg.config)
+        rebuilt = next_day - self.source.start
+        with obs.span("live.resume", days=rebuilt):
+            for day in range(self.source.start, next_day):
+                self._ingest_day(day)
+        obs.counter("live.resume.days").inc(rebuilt)
+        self.clock = SimulatedClock(next_day)
         self.days_processed = int(state["days_processed"])
 
     def checkpoint(self) -> Optional[str]:
@@ -159,23 +184,33 @@ class LiveDaemon:
         return True
 
     # -- the loop ------------------------------------------------------------
+    def _ingest_day(self, day: int) -> Tuple[int, int]:
+        """Ingest the day's batches and close it; returns (rows, batches).
+
+        The one ingest-and-close path: :meth:`run_day` and the rebuild in
+        :meth:`restore` both go through it.
+        """
+        rows = batches = 0
+        for batch in self.source.batches_for_day(day):
+            self.agg.ingest(
+                batch.day,
+                batch.scopes,
+                batch.tput,
+                batch.rtt,
+                batch.loss,
+                batch.scope_rows,
+            )
+            rows += batch.n_rows
+            batches += 1
+        self.agg.close_day(day)
+        return rows, batches
+
     def run_day(self, day: int) -> List[Alert]:
         """Ingest and close one day; returns the day's alert changes."""
         with obs.span("live.day", metric="live.day_ms", day=Day(day).iso()):
-            rows = 0
-            for batch in self.source.batches_for_day(day):
-                self.agg.ingest(
-                    batch.day,
-                    batch.scopes,
-                    batch.tput,
-                    batch.rtt,
-                    batch.loss,
-                    batch.scope_rows,
-                )
-                rows += batch.n_rows
-                obs.counter("live.batches").inc()
+            rows, batches = self._ingest_day(day)
+            obs.counter("live.batches").inc(batches)
             obs.counter("live.rows").inc(rows)
-            self.agg.close_day(day)
             crash_point(f"live.day.{Day(day).iso()}:closed")
             changes = self.engine.evaluate_day(self.agg, day)
             for alert in changes:

@@ -12,6 +12,11 @@ A day with zero tests yields no batch, but it still ticks: the daemon's
 clock (:class:`~repro.obs.live.daemon.SimulatedClock`) closes every day
 of the window, and a silent day is exactly what the volume-collapse rule
 needs to see.
+
+The source is deterministic, so it fixes the aggregator's state at every
+day boundary: a resumed daemon rebuilds that state by replaying the
+source again, and :attr:`ReplaySource.fingerprint` keys its checkpoints
+to the streamed columns' content.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.ndt.measurement import LIVE_STREAM_COLUMNS
+from repro.obs.lineage import fingerprint_table
 from repro.obs.live.window import ScopeKey
 from repro.tables.column import NULL_CODE
 from repro.tables.table import Table
@@ -62,6 +68,8 @@ class ReplaySource:
 
     Rows keep their table order within a day, so a given
     ``(start, end, batch_rows)`` slicing is fully deterministic.
+    ``fingerprint`` is the content digest of the table's
+    :data:`LIVE_STREAM_COLUMNS` (:func:`repro.obs.lineage.fingerprint_table`).
     """
 
     def __init__(
@@ -81,6 +89,9 @@ class ReplaySource:
         if self.end < self.start:
             raise ReproError(f"replay window ends before it starts: {start}..{end}")
         self.batch_rows = batch_rows
+        self.fingerprint = fingerprint_table(
+            Table([table.column(name) for name in LIVE_STREAM_COLUMNS])
+        )["fingerprint"]
 
         day = np.asarray(table.column("day").values, dtype=np.int64)
         keep = (day >= self.start) & (day <= self.end)

@@ -13,7 +13,7 @@ associative up to rounding.  Instead every sum here is an
 mathematical sum is *exactly* the running total, kept in one canonical
 form (the chain of ``math.fsum`` residuals) that depends on the exact
 total alone.  Rendering goes through ``math.fsum`` (correctly rounded),
-so neither the rendered value nor a checkpointed state can depend on
+so neither the rendered value nor the aggregator's state can depend on
 the order or grouping of the rows.
 
 Each arriving batch goes through one array pass for all of its scopes
@@ -33,10 +33,13 @@ sums keep their constituents' partials side by side) only when a
 reader first asks for it, and row counts never fold.  A view is valid
 until the aggregator's next :meth:`~SlidingWindowAggregator.ingest` or
 :meth:`~SlidingWindowAggregator.close_day`; reading it after that
-raises :class:`StaleViewError`.  Only checkpointed state — day buckets
-and the compacted baseline — is built by the normalizing
-:meth:`KeyState.merge`.  The hypothesis suite in ``tests/obs/live/``
-pins all of this down.
+raises :class:`StaleViewError`.  Only the aggregator's own state — day
+buckets and the compacted baseline — is built by the normalizing
+:meth:`KeyState.merge`.  That state is not checkpointed: it is a
+function of the rows, so the live daemon rebuilds it on resume by
+ingesting the replay again (:meth:`SlidingWindowAggregator.to_state`
+is its canonical form, which tests compare).  The hypothesis suite in
+``tests/obs/live/`` pins all of this down.
 """
 
 from __future__ import annotations
@@ -183,21 +186,11 @@ class MomentState:
     def to_state(self) -> Dict[str, object]:
         return {
             "n": self.n,
-            "sum": self.sum.to_state(),
-            "sumsq": self.sumsq.to_state(),
+            "sum": list(self.sum.partials),
+            "sumsq": list(self.sumsq.partials),
             "min": None if self.n == 0 else self.vmin,
             "max": None if self.n == 0 else self.vmax,
         }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "MomentState":
-        out = cls()
-        out.n = int(state["n"])
-        out.sum = ExactSum.from_state(state["sum"])
-        out.sumsq = ExactSum.from_state(state["sumsq"])
-        out.vmin = math.inf if state["min"] is None else float(state["min"])
-        out.vmax = -math.inf if state["max"] is None else float(state["max"])
-        return out
 
     def __repr__(self) -> str:
         return f"MomentState(n={self.n}, mean={self.mean:.4g})"
@@ -280,7 +273,7 @@ class KeyState:
         Snapshots to the same bytes as merging ``states`` in order into a
         fresh :class:`KeyState`, but its sums are concatenated rather than
         normalized (:meth:`ExactSum.of`): use it for read-only views, and
-        :meth:`merge` for state that is checkpointed.
+        :meth:`merge` for the aggregator's day buckets and baseline.
         """
         out = cls.__new__(cls)
         out.rows = sum([s.rows for s in states])
@@ -313,18 +306,6 @@ class KeyState:
             "moments": {n: m.to_state() for n, m in sorted(self.moments.items())},
             "buckets": {n: list(c) for n, c in sorted(self.buckets.items())},
         }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "KeyState":
-        out = cls.__new__(cls)
-        out.rows = int(state["rows"])
-        out.moments = {
-            name: MomentState.from_state(state["moments"][name]) for name in STREAMS
-        }
-        out.buckets = {
-            name: [int(n) for n in state["buckets"][name]] for name, _ in RAW_METRICS
-        }
-        return out
 
 
 def batch_states(
@@ -502,7 +483,7 @@ class SlidingWindowAggregator:
         self.last_day: Optional[int] = None
         #: bumped by every change of the state; views of an older one are stale
         self._generation = 0
-        #: views assembled since the state last changed (not checkpointed)
+        #: views assembled since the state last changed (not in to_state)
         self._memo: Dict[object, WindowView] = {}
 
     def _changed(self) -> None:
@@ -624,7 +605,7 @@ class SlidingWindowAggregator:
                 out[label] = out.get(label, 0) + state.rows
         return {label: rows / len(present) for label, rows in out.items()}
 
-    # -- snapshots / checkpoints ---------------------------------------------
+    # -- snapshots / state ---------------------------------------------------
     def snapshot(self, day: Optional[int] = None) -> Dict[str, object]:
         """Canonical JSON-ready view of the window ending at ``day``."""
         day = day if day is not None else self.last_day
@@ -640,6 +621,7 @@ class SlidingWindowAggregator:
         }
 
     def to_state(self) -> Dict[str, object]:
+        """The whole state, canonical and JSON-ready (compared, not restored)."""
         return {
             "config": {
                 "window_days": self.config.window_days,
@@ -662,29 +644,3 @@ class SlidingWindowAggregator:
             "rows_ingested": self.rows_ingested,
             "last_day": self.last_day,
         }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "SlidingWindowAggregator":
-        cfg = state["config"]
-        out = cls(
-            WindowConfig(
-                window_days=int(cfg["window_days"]),
-                recent_days=int(cfg["recent_days"]),
-                baseline_start=cfg["baseline_start"],
-                baseline_end=cfg["baseline_end"],
-            )
-        )
-        for d, bucket in state["days"].items():
-            out.days[int(d)] = {
-                label: KeyState.from_state(s) for label, s in bucket.items()
-            }
-        out.baseline_compact = {
-            label: KeyState.from_state(s)
-            for label, s in state["baseline_compact"].items()
-        }
-        out.baseline_days_compacted = int(state["baseline_days_compacted"])
-        out.rows_ingested = int(state["rows_ingested"])
-        out.last_day = state["last_day"]
-        if out.last_day is not None:
-            out.last_day = int(out.last_day)
-        return out

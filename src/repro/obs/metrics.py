@@ -14,8 +14,9 @@ however they were grouped.
 
 Every stored :class:`ExactSum` is in one canonical form, the chain of
 ``math.fsum`` residuals of its values (see the class), which depends
-only on the exact sum: the live aggregator's checkpoints therefore have
-the same bytes however its rows were batched or ordered.
+only on the exact sum: the live aggregator's state therefore has the
+same bytes however its rows were batched or ordered, and a resumed live
+daemon that ingests the same rows again rebuilds it exactly.
 
 Naming convention (see ``docs/OBSERVABILITY.md``): dotted lowercase
 ``component.measure[_unit]`` — ``ingest.rows_quarantined``,
@@ -166,14 +167,6 @@ class ExactSum:
     def value(self) -> float:
         """The correctly-rounded double nearest the exact sum."""
         return math.fsum(self.partials)
-
-    def to_state(self) -> List[float]:
-        """JSON-ready checkpoint form (floats round-trip via repr)."""
-        return list(self.partials)
-
-    @classmethod
-    def from_state(cls, state: Sequence[float]) -> "ExactSum":
-        return cls(float(p) for p in state)
 
     def __repr__(self) -> str:
         return f"ExactSum({self.value()!r})"

@@ -141,3 +141,15 @@ class TestScenarios:
         out = capsys.readouterr().out
         assert "paper" in out and "no_war" in out
         assert "rtt_war" in out
+
+
+class TestLive:
+    def test_replay_resumes_to_byte_identical_artifacts(self, tmp_path, capsys):
+        args = ["--scale", "0.02", "--checkpoint-dir", str(tmp_path / "ckpt")]
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["live", "replay", "--out", str(first)]) == 0
+        assert "resumed" not in capsys.readouterr().err
+        assert main(["--resume"] + args + ["live", "replay", "--out", str(second)]) == 0
+        assert "resumed from checkpoint at day 2022-04-19" in capsys.readouterr().err
+        for name in ("alerts.json", "window.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()

@@ -1,9 +1,9 @@
 """Daemon determinism: chunking invariance, checkpoint/resume, chaos.
 
-The acceptance bar from the issue: ``alerts.json`` must be byte-identical
-across (a) repeated runs, (b) different ``batch_rows`` chunkings of the
-same replay, and (c) a run killed mid-replay at an announced crash point
-and resumed from its last checkpoint.
+The acceptance bar: ``alerts.json`` must be byte-identical across (a)
+repeated runs, (b) different ``batch_rows`` chunkings of the same replay,
+and (c) a run killed mid-replay at an announced crash point and resumed
+from its last checkpoint, which rebuilds the aggregator from the source.
 """
 
 import numpy as np
@@ -14,6 +14,8 @@ from repro.obs.live import daemon as daemon_module
 from repro.obs.live.daemon import STATE_STAGE, LiveDaemon, StateVersionError
 from repro.obs.live.source import ReplaySource
 from repro.obs.metrics import snapshot_to_json
+from repro.util.errors import ReproError
+from repro.util.timeutil import Day
 
 START, END = "2022-02-01", "2022-03-05"
 
@@ -59,11 +61,15 @@ class TestByteIdentity:
 
 
 def state_bytes(daemon):
-    return snapshot_to_json(daemon.to_state()).encode("utf-8")
+    return snapshot_to_json(daemon.agg.to_state()).encode("utf-8")
 
 
 class TestCheckpointBytes:
-    """Canonical sums make the checkpointed state a function of the rows."""
+    """Canonical sums make the aggregator's state a function of the rows.
+
+    That is what lets a resume rebuild it from the source instead of
+    reading it from the checkpoint.
+    """
 
     @pytest.fixture(scope="class")
     def reference_state(self, live_table):
@@ -93,6 +99,7 @@ class TestCheckpointResume:
         clone = LiveDaemon(source, checkpoint_dir=str(tmp_path))
         assert clone.resume()
         assert clone.to_state() == first.to_state()
+        assert clone.agg.to_state() == first.agg.to_state()
         # Nothing left to replay: the final checkpoint covers the window.
         assert clone.run() == 0
         assert alerts_bytes(clone) == alerts_bytes(first)
@@ -101,6 +108,34 @@ class TestCheckpointResume:
         source = ReplaySource(live_table, START, END)
         daemon = LiveDaemon(source, checkpoint_dir=str(tmp_path))
         assert not daemon.resume()
+
+    def test_another_table_of_the_same_size_is_not_resumed(
+        self, live_table, tmp_path
+    ):
+        first = run_daemon(live_table, checkpoint_dir=str(tmp_path))
+        day = np.asarray(live_table.column("day").values)
+        row = int(np.nonzero(day == Day.of(START).ordinal)[0][0])
+        tput = np.array(live_table.column("tput_mbps").values, dtype=np.float64)
+        tput[row] += 1.0
+        other = LiveDaemon(
+            ReplaySource(live_table.with_column("tput_mbps", tput), START, END),
+            checkpoint_dir=str(tmp_path),
+        )
+        assert other.source.n_rows == first.source.n_rows
+        assert other.key != first.key
+        assert not other.resume()
+
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_a_cadence_below_one_day_is_refused(self, live_table, every):
+        with pytest.raises(ReproError, match="checkpoint_every"):
+            LiveDaemon(ReplaySource(live_table, START, END), checkpoint_every=every)
+
+    def test_a_state_outside_the_replay_window_is_refused(self, live_table):
+        state = run_daemon(live_table).to_state()
+        state["next_day"] += 1  # past the day after the last replay day
+        daemon = LiveDaemon(ReplaySource(live_table, START, END))
+        with pytest.raises(ReproError, match="outside the replay window"):
+            daemon.restore(state)
 
     def test_kill_mid_replay_resumes_byte_identically(
         self, live_table, reference, tmp_path
@@ -160,6 +195,13 @@ class TestStateVersion:
         daemon = LiveDaemon(ReplaySource(live_table, START, END))
         with pytest.raises(StateVersionError):
             daemon.restore(v1_state)
+
+    def test_a_v2_state_is_refused(self, live_table, v1_state):
+        # Schema 2 also held the aggregator; its version alone refuses it.
+        v2_state = dict(v1_state, schema_version=2, aggregator={})
+        daemon = LiveDaemon(ReplaySource(live_table, START, END))
+        with pytest.raises(StateVersionError):
+            daemon.restore(v2_state)
 
     def test_a_v1_checkpoint_under_this_key_is_refused_on_resume(
         self, live_table, v1_state, tmp_path

@@ -111,12 +111,6 @@ class TestExactSum:
         assert folded.value() == math.fsum(everything + [x] + more)
         assert [s.partials for s in sums] == before
 
-    @given(float_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_state_round_trip(self, values):
-        s = exact_of(values)
-        assert ExactSum.from_state(s.to_state()).value() == s.value()
-
 
 class TestCanonicalPartials:
     """One canonical form: the ``math.fsum`` residual chain of the exact sum."""
@@ -468,23 +462,6 @@ class TestAggregatorChunking:
                 json.dumps(agg.snapshot(day), sort_keys=True)
             )
         assert snaps[0] == snaps[1] == snaps[2]
-
-    def test_state_round_trip_is_byte_stable(self):
-        rng = np.random.Generator(np.random.PCG64(13))
-        agg = SlidingWindowAggregator(WindowConfig())
-        for day in (738000, 738001):
-            self._ingest(
-                agg, day,
-                rng.lognormal(3.0, 1.0, 40),
-                rng.lognormal(3.0, 0.5, 40),
-                rng.random(40) * 0.05,
-                chunk=9,
-            )
-        state = agg.to_state()
-        clone = SlidingWindowAggregator.from_state(state)
-        assert json.dumps(clone.to_state(), sort_keys=True) == json.dumps(
-            state, sort_keys=True
-        )
 
 
 #: A ten-day baseline, so a stream of 10+ days compacts baseline days
