@@ -23,9 +23,10 @@ so each is independently testable (see ``docs/OBSERVABILITY.md``):
   kills resume byte-identically;
 * **the health service** (:mod:`~repro.obs.live.service`) — a
   stdlib-only threaded HTTP API (``repro live serve``) with
-  snapshot-isolated reads: every tick publishes immutable pre-rendered
-  views, so thousands of concurrent readers never block the aggregator
-  and never observe a half-updated window.
+  snapshot-isolated reads: every day close publishes a view-set of that
+  day (the window bodies render on first read from views over closed
+  days, which never change), so thousands of concurrent readers never
+  block the aggregator and never observe a half-updated window.
 
 This package is the repo's one sanctioned **network** seam: the flow
 lint (``unsanctioned-network``) flags socket/HTTP use anywhere else in

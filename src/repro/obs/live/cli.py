@@ -6,10 +6,12 @@
             set, and write the canonical ``alerts.json`` plus the final
             window snapshot under ``--out``.
 ``serve``   Replay, then serve the health API (``/healthz``,
-            ``/metrics``, ``/oblasts``, ``/oblast/<name>``, ``/alerts``,
-            ``/sites``) until interrupted (or ``--serve-seconds``).
+            ``/metrics``, ``/oblasts``, ``/oblast/<name>``,
+            ``/national``, ``/alerts``, ``/sites``) until interrupted
+            (or ``--serve-seconds``).
 ``smoke``   Short replay → serve on an ephemeral port → probe every
-            endpoint → validate ``alerts.json`` against
+            path of ``HealthService.paths()`` and ``/metrics`` →
+            validate ``alerts.json`` against
             ``docs/alerts.schema.json``; exit 1 on any failure.  This is
             what ``make live-smoke`` runs.
 """
@@ -21,6 +23,7 @@ import json
 import sys
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import List, Optional, Tuple
 
@@ -178,7 +181,8 @@ def _probe(base: str, paths: List[str]) -> List[str]:
     failures = []
     for path in paths:
         try:
-            with urllib.request.urlopen(base + path, timeout=10.0) as resp:
+            url = base + urllib.parse.quote(path)
+            with urllib.request.urlopen(url, timeout=10.0) as resp:
                 body = resp.read()
                 json.loads(body.decode("utf-8"))
         except (urllib.error.URLError, ValueError, OSError) as exc:
@@ -216,14 +220,7 @@ def _cmd_smoke(args) -> int:
     try:
         host, port = service.start()
         base = f"http://{host}:{port}"
-        endpoints = ["/healthz", "/metrics", "/oblasts", "/alerts", "/sites",
-                     "/national"]
-        window = daemon.agg.window_state(daemon.agg.last_day)
-        oblast_labels = sorted(
-            label for label in window if label.startswith("oblast:")
-        )
-        if oblast_labels:
-            endpoints.append(f"/oblast/{oblast_labels[0].split(':', 1)[1]}")
+        endpoints = service.paths() + ["/metrics"]
         failures = _probe(base, endpoints)
     finally:
         service.stop()

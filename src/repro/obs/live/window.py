@@ -30,8 +30,15 @@ min and max are the stream's moments, and its bounds are
 Windows are read-only views (:class:`WindowView`) over day buckets.  A
 view folds a scope (:meth:`KeyState.fold`: counts add, extremes widen,
 sums keep their constituents' partials side by side) only when a
-reader first asks for it, and row counts never fold.  A view is valid
-until the aggregator's next :meth:`~SlidingWindowAggregator.ingest` or
+reader first asks for it, and row counts never fold.  A closed day is
+final: :meth:`~SlidingWindowAggregator.ingest` refuses rows for a day
+at or before the last closed day with a :class:`ReproError`, so a
+closed day's bucket never changes again.  A view whose days are all
+closed therefore never goes stale, and may be read at any later time
+from any thread (the health service renders its window views on first
+read).  A view that covers an open day, and the baseline view (which
+compacting later days changes), is valid until the aggregator's next
+:meth:`~SlidingWindowAggregator.ingest` or
 :meth:`~SlidingWindowAggregator.close_day`; reading it after that
 raises :class:`StaleViewError`.  Only the aggregator's own state — day
 buckets and the compacted baseline — is built by the normalizing
@@ -362,7 +369,8 @@ def batch_states(
 
 
 class StaleViewError(ReproError):
-    """A window view was read after its aggregator ingested or closed a day."""
+    """A window view over an open day or the baseline was read after its
+    aggregator ingested or closed a day."""
 
 
 class WindowView(Mapping):
@@ -371,22 +379,30 @@ class WindowView(Mapping):
     Maps scope label → :class:`KeyState`.  A label with one day state
     reads that state as is; a label with several is folded
     (:meth:`KeyState.fold`) once, on its first read.  :meth:`rows` and
-    iterating the labels never fold.  The view is shared and read-only,
-    and valid until the aggregator's next ``ingest`` or ``close_day``:
-    any read after that raises :class:`StaleViewError`.
+    iterating the labels never fold.  The view is shared and read-only.
+    A ``closed`` view (closed days only, no compacted baseline) stays
+    valid for good; any other view is valid until the aggregator's next
+    ``ingest`` or ``close_day``, and a read after that raises
+    :class:`StaleViewError`.
     """
 
     __slots__ = ("_agg", "_generation", "_parts", "_folded")
 
-    def __init__(self, agg: "SlidingWindowAggregator", parts: Dict[str, List[KeyState]]):
-        self._agg = agg
+    def __init__(
+        self,
+        agg: "SlidingWindowAggregator",
+        parts: Dict[str, List[KeyState]],
+        closed: bool = False,
+    ):
+        # No state a closed view reads can change, so it keeps no aggregator.
+        self._agg = None if closed else agg
         self._generation = agg._generation
         self._parts = parts
         self._folded: Dict[str, KeyState] = {}
         obs.counter("live.window.views").inc()
 
     def _check(self) -> None:
-        if self._agg._generation != self._generation:
+        if self._agg is not None and self._agg._generation != self._generation:
             raise StaleViewError(
                 "window view read after the aggregator changed; "
                 "ask the aggregator for a new one"
@@ -464,7 +480,9 @@ class SlidingWindowAggregator:
     snapshots.  Each distinct window is assembled at most once between
     two changes of the state (:meth:`ingest`, :meth:`close_day`), and
     every reader gets the same view; :meth:`day_state` returns the live
-    bucket.  Callers must not mutate either.  Day buckets older than the
+    bucket.  Callers must not mutate either.  Rows for a day at or
+    before :attr:`last_closed` are refused, so closed buckets are final
+    and views over them never go stale.  Day buckets older than the
     retention horizon are merged into the compacted baseline (when
     inside the baseline period) or dropped — the live daemon's memory
     footprint is bounded by ``retain_days × scopes``, not by stream
@@ -481,6 +499,8 @@ class SlidingWindowAggregator:
         self.baseline_days_compacted = 0
         self.rows_ingested = 0
         self.last_day: Optional[int] = None
+        #: the latest day passed to close_day; no row may land at or before it
+        self.last_closed: Optional[int] = None
         #: bumped by every change of the state; views of an older one are stale
         self._generation = 0
         #: views assembled since the state last changed (not in to_state)
@@ -506,9 +526,15 @@ class SlidingWindowAggregator:
         usually lands in several scopes (national + its oblast + its AS
         + its city + its site).  Values are plain sequences/arrays of
         floats; NaNs are skipped per metric.  ``rows_ingested`` counts
-        (row, scope) pairs.
+        (row, scope) pairs.  A day at or before :attr:`last_closed` is a
+        :class:`ReproError`: a closed day is final.
         """
         day = int(day)
+        if self.last_closed is not None and day <= self.last_closed:
+            raise ReproError(
+                f"rows for {Day(day).iso()} arrived after "
+                f"{Day(self.last_closed).iso()} was closed; a closed day is final"
+            )
         states = batch_states(scopes, tput, rtt, loss, scope_rows)
         self._changed()
         bucket = self.days.setdefault(day, {})
@@ -528,6 +554,8 @@ class SlidingWindowAggregator:
         self._changed()
         if self.last_day is None or day > self.last_day:
             self.last_day = day
+        if self.last_closed is None or day > self.last_closed:
+            self.last_closed = day
         cutoff = day - self.config.retain_days() + 1
         baseline = self.config.baseline_ordinals
         for old in sorted(d for d in self.days if d < cutoff):
@@ -546,6 +574,7 @@ class SlidingWindowAggregator:
         key: object,
         ordinals: Iterable[int],
         extra: Iterable[Tuple[str, KeyState]] = (),
+        closed: bool = False,
     ) -> WindowView:
         """The memoized view of the day buckets in ``ordinals``, then ``extra``."""
         view = self._memo.get(key)
@@ -556,14 +585,20 @@ class SlidingWindowAggregator:
                     parts.setdefault(label, []).append(state)
             for label, state in extra:
                 parts.setdefault(label, []).append(state)
-            view = self._memo[key] = WindowView(self, parts)
+            view = self._memo[key] = WindowView(self, parts, closed)
         return view
+
+    def _closed_through(self, day: int) -> bool:
+        """Whether every day up to ``day`` is closed (final)."""
+        return self.last_closed is not None and day <= self.last_closed
 
     def window_state(self, day: int, days: Optional[int] = None) -> WindowView:
         """Per-scope state of the ``days`` (default config) ending at ``day``."""
         n = self.config.window_days if days is None else int(days)
         lo = day - n + 1
-        return self._view((lo, day + 1), range(lo, day + 1))
+        return self._view(
+            (lo, day + 1), range(lo, day + 1), closed=self._closed_through(day)
+        )
 
     def day_state(self, day: int) -> Dict[str, KeyState]:
         """The single-day bucket (empty dict when the day saw no rows).
@@ -573,7 +608,10 @@ class SlidingWindowAggregator:
         return self.days.get(int(day), {})
 
     def baseline_state(self) -> WindowView:
-        """Prewar-baseline state: retained tail, then compacted head."""
+        """Prewar-baseline state: retained tail, then compacted head.
+
+        Never a closed view: compacting a later day changes the head.
+        """
         baseline = self.config.baseline_ordinals
         tail = [d for d in self.days if d in baseline]
         return self._view("baseline", tail, self.baseline_compact.items())
@@ -591,7 +629,9 @@ class SlidingWindowAggregator:
     def recent_state(self, day: int) -> WindowView:
         """Trailing ``recent_days`` window *excluding* ``day`` itself."""
         lo = day - self.config.recent_days
-        return self._view((lo, day), range(lo, day))
+        return self._view(
+            (lo, day), range(lo, day), closed=self._closed_through(day - 1)
+        )
 
     def recent_daily_counts(self, day: int) -> Dict[str, float]:
         """Mean rows/day per scope over the trailing reference window."""
@@ -643,4 +683,5 @@ class SlidingWindowAggregator:
             "baseline_days_compacted": self.baseline_days_compacted,
             "rows_ingested": self.rows_ingested,
             "last_day": self.last_day,
+            "last_closed": self.last_closed,
         }

@@ -38,7 +38,7 @@ from repro.obs.live.window import (
 )
 from repro.obs.metrics import ExactSum, Histogram
 from repro.tables.kernels import group_moments_exact
-from repro.util.errors import NumericsError
+from repro.util.errors import NumericsError, ReproError
 from repro.util.timeutil import Day
 
 finite = st.floats(
@@ -579,6 +579,60 @@ class TestWindowAssembly:
         _ingest_batch(agg, day, [([True] * 3, 2.0, 20.0, 0.0)])
         assert agg.window_state(day, 1)["national"].rows == 2
         assert agg.baseline_state()["oblast:A"].rows == 1
+
+
+class TestClosedDays:
+    """A closed day is final, so views over closed days never go stale."""
+
+    @staticmethod
+    def _closed(agg, offsets):
+        for offset in offsets:
+            day = BASELINE_START + offset
+            _ingest_batch(agg, day, [([True, offset % 2 == 0, True],
+                                      1.0 + offset, 10.0 * offset, 0.001)])
+            agg.close_day(day)
+
+    def test_ingesting_a_closed_day_raises(self):
+        agg = SlidingWindowAggregator(ASSEMBLY_CONFIG)
+        self._closed(agg, range(2))
+        before = json.dumps(agg.to_state(), sort_keys=True)
+        for offset in (0, 1):
+            with pytest.raises(ReproError, match="a closed day is final"):
+                _ingest_batch(agg, BASELINE_START + offset,
+                              [([True] * 3, 5.0, 5.0, 0.0)])
+        assert json.dumps(agg.to_state(), sort_keys=True) == before
+        _ingest_batch(agg, BASELINE_START + 2, [([True] * 3, 5.0, 5.0, 0.0)])
+        assert agg.day_state(BASELINE_START + 2)["national"].rows == 1
+
+    def test_a_late_row_for_a_compacted_baseline_day_is_refused(self):
+        # Closing ten days compacts the first two (8 are retained).  A late
+        # row for the first day once re-created its bucket, and the next
+        # close compacted that day a second time: 4 counted, 3 distinct.
+        agg = SlidingWindowAggregator(ASSEMBLY_CONFIG)
+        self._closed(agg, range(10))
+        assert agg.baseline_days_compacted == 2
+        rows = agg.baseline_compact["national"].rows
+        with pytest.raises(ReproError):
+            _ingest_batch(agg, BASELINE_START, [([True] * 3, 5.0, 5.0, 0.0)])
+        self._closed(agg, [10])
+        assert agg.baseline_days_compacted == 3
+        assert agg.baseline_compact["national"].rows == rows + 1
+
+    def test_a_view_of_closed_days_outlives_later_changes(self):
+        agg = SlidingWindowAggregator(ASSEMBLY_CONFIG)
+        self._closed(agg, range(5))
+        day = BASELINE_START + 4
+        window, recent = agg.window_state(day), agg.recent_state(day)
+        buckets = {
+            "window": [agg.days[d] for d in range(day - 2, day + 1)],
+            "recent": [agg.days[d] for d in range(day - 7, day) if d in agg.days],
+        }
+        # Eleven more closes evict and compact every day these views cover.
+        self._closed(agg, range(5, 16))
+        assert not set(agg.days) & set(range(day - 7, day + 1))
+        assert _view_bytes(window) == _view_bytes(_merged(buckets["window"]))
+        assert _view_bytes(recent) == _view_bytes(_merged(buckets["recent"]))
+        assert window.rows("national") == 3
 
 
 class TestLazyViews:
