@@ -206,7 +206,11 @@ class LiveDaemon:
         return rows, batches
 
     def run_day(self, day: int) -> List[Alert]:
-        """Ingest and close one day; returns the day's alert changes."""
+        """Ingest and close one day; returns the day's alert changes.
+
+        The day counts in ``days_processed`` before the subscribers see
+        its close, so the service publishes it with the day.
+        """
         with obs.span("live.day", metric="live.day_ms", day=Day(day).iso()):
             rows, batches = self._ingest_day(day)
             obs.counter("live.batches").inc(batches)
@@ -219,6 +223,7 @@ class LiveDaemon:
                     if alert.resolved is None
                     else "live.alerts.resolved"
                 ).inc()
+        self.days_processed += 1
         for callback in self._subscribers:
             callback(day, changes)
         return changes
@@ -235,7 +240,6 @@ class LiveDaemon:
         while self.clock.ordinal <= last:
             day = self.clock.ordinal
             self.run_day(day)
-            self.days_processed += 1
             processed += 1
             self.clock.advance()
             if (
