@@ -3,10 +3,7 @@
 import os
 from pathlib import Path
 
-from repro.obs.bench import session_registry
-from repro.obs.clock import monotonic
-
-__all__ = ["bench_scale", "emit", "record_benchmark", "timed"]
+__all__ = ["bench_scale", "emit"]
 
 
 def bench_scale() -> float:
@@ -19,30 +16,3 @@ def emit(results_dir: Path, name: str, text: str) -> None:
     banner = f"\n===== {name} =====\n{text}\n"
     print(banner)
     (results_dir / f"{name}.txt").write_text(banner, encoding="utf-8")
-
-
-def record_benchmark(name: str, seconds: float, **meta) -> None:
-    """Record one timing into the process-wide benchmark registry.
-
-    Records accumulate across the whole pytest session; running with
-    ``REPRO_BENCH_RECORD=1`` appends them to ``BENCH_history.jsonl`` at
-    session end (see ``conftest.pytest_sessionfinish``).
-    """
-    session_registry().record(name, seconds, **meta)
-
-
-def timed(fn, repeat: int = 3, name: str = None, **meta):
-    """Best-of-``repeat`` wall time plus the (last) result.
-
-    With ``name``, the timing is also recorded into the benchmark
-    registry, so a bench module gets history tracking in one call.
-    """
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = monotonic()
-        result = fn()
-        best = min(best, monotonic() - t0)
-    if name is not None:
-        record_benchmark(name, best, repeat=repeat, **meta)
-    return best, result

@@ -7,9 +7,9 @@ paper-vs-measured comparison.
 
 Every benchmark test is also timed into the process-wide benchmark
 registry (``repro.obs.bench``) under ``pytest.<module>.<test>`` — so all
-benchmark modules feed the registry for free, on top of whatever named
-rows they record themselves via ``bench_common.timed(..., name=...)``.
-Run with ``REPRO_BENCH_RECORD=1`` (plus ``REPRO_BENCH_SHA`` /
+benchmark modules feed the registry for free, on top of the rows the
+snapshot modules hand to ``repro.obs.bench.write_bench``, which records
+them there too.  Run with ``REPRO_BENCH_RECORD=1`` (plus ``REPRO_BENCH_SHA`` /
 ``REPRO_BENCH_TS`` for the run key) to append the session's records to
 ``BENCH_history.jsonl``.
 """

@@ -4,24 +4,22 @@ Times the columnar engine's hot relational operations (group-by, join,
 filter, sort, string encode/decode) against the verbatim pre-vectorization
 implementations kept in ``repro.tables._legacy``, on synthetic tables of
 10^5-10^6 rows shaped like the NDT workload (a few hundred distinct string
-keys over millions of rows).  Results are written to ``BENCH_engine.json``
-at the repo root — the recorded before/after baseline the PR's acceptance
-gate checks — and guarded here with generous wall-clock bounds plus the
-headline requirement: **>= 5x on group-by at 10^6 rows**.
+keys over millions of rows).  Each ``engine.*`` row's ``seconds`` is the
+vectorized path's time, with the legacy time (``before_s``) and the
+speedup beside it; the rows land in ``BENCH_engine.json`` at the repo root
+and are guarded here with generous wall-clock bounds plus the headline
+requirement: **>= 5x on group-by at 10^6 rows**.
 
 Each comparison also asserts the two implementations produce identical
 tables, so the speedup numbers can never drift away from correctness.
 """
-
-import platform
-import time
 
 import numpy as np
 import pytest
 
 from bench_common import emit
 
-from repro.obs.bench import baseline_path, session_registry, write_snapshot
+from repro.obs.bench import best_of, write_bench
 from repro.tables import col
 from repro.tables._legacy import legacy_aggregate, legacy_join, legacy_sort_by
 from repro.tables.column import Column
@@ -55,15 +53,12 @@ MAX_AFTER_SECONDS = {
 }
 
 
-def _timed(fn, repeat=3):
-    """Best-of-``repeat`` wall time plus the (last) result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def _speedup_row(before, after, rows, **meta):
+    """An ``engine.*`` row: the vectorized time, the legacy time, the ratio."""
+    return {
+        "seconds": after, "rows": rows, **meta,
+        "before_s": before, "speedup": before / after,
+    }
 
 
 def _assert_identical(actual: Table, expected: Table):
@@ -120,18 +115,14 @@ def results():
 class TestEnginePerf:
     def test_groupby_1e6(self, big_table, results):
         spec = {"m": ("v", "mean"), "n": ("v", "count"), "s": ("v", "sum")}
-        before, legacy = _timed(
+        before, legacy = best_of(
             lambda: legacy_aggregate(big_table, ["k"], spec), repeat=1
         )
-        after, ours = _timed(lambda: big_table.group_by("k").aggregate(spec))
+        after, ours = best_of(lambda: big_table.group_by("k").aggregate(spec))
         _assert_identical(ours, legacy)
-        results["groupby_mean_1e6"] = {
-            "rows": N_BIG,
-            "groups": ours.n_rows,
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / after,
-        }
+        results["engine.groupby_mean_1e6"] = _speedup_row(
+            before, after, N_BIG, groups=ours.n_rows
+        )
         assert after < MAX_AFTER_SECONDS["groupby_mean_1e6"]
         assert before / after >= MIN_GROUPBY_SPEEDUP, (
             f"group-by at 1e6 rows sped up only {before / after:.1f}x "
@@ -141,18 +132,14 @@ class TestEnginePerf:
     def test_groupby_multikey_1e5(self, big_table, results):
         sub = big_table.head(N_MID)
         spec = {"m": ("v", "mean"), "sd": ("v", "std"), "u": ("v", "nunique")}
-        before, legacy = _timed(
+        before, legacy = best_of(
             lambda: legacy_aggregate(sub, ["k", "k2"], spec), repeat=1
         )
-        after, ours = _timed(lambda: sub.group_by(["k", "k2"]).aggregate(spec))
+        after, ours = best_of(lambda: sub.group_by(["k", "k2"]).aggregate(spec))
         _assert_identical(ours, legacy)
-        results["groupby_multikey_1e5"] = {
-            "rows": N_MID,
-            "groups": ours.n_rows,
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / after,
-        }
+        results["engine.groupby_multikey_1e5"] = _speedup_row(
+            before, after, N_MID, groups=ours.n_rows
+        )
         assert after < MAX_AFTER_SECONDS["groupby_multikey_1e5"]
         assert before / after >= MIN_MULTIKEY_SPEEDUP, (
             f"multi-key group-by sped up only {before / after:.1f}x "
@@ -169,17 +156,12 @@ class TestEnginePerf:
             },
             dtypes={"k": DType.STR, "w": DType.FLOAT},
         )
-        before, legacy = _timed(
+        before, legacy = best_of(
             lambda: legacy_join(left, right, on="k"), repeat=1
         )
-        after, ours = _timed(lambda: join(left, right, on="k"))
+        after, ours = best_of(lambda: join(left, right, on="k"))
         _assert_identical(ours, legacy)
-        results["join_inner_1e5"] = {
-            "rows": N_MID,
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / after,
-        }
+        results["engine.join_inner_1e5"] = _speedup_row(before, after, N_MID)
         assert after < MAX_AFTER_SECONDS["join_inner_1e5"]
 
     def test_filter_isin_1e6(self, big_table, results):
@@ -192,41 +174,32 @@ class TestEnginePerf:
                 (v in allowed for v in values), dtype=bool, count=len(values)
             )
 
-        before, legacy = _timed(legacy_isin, repeat=1)
-        after, ours = _timed(lambda: col.isin(allowed))
+        before, legacy = best_of(legacy_isin, repeat=1)
+        after, ours = best_of(lambda: col.isin(allowed))
         assert np.array_equal(ours, legacy)
-        results["filter_isin_1e6"] = {
-            "rows": N_BIG,
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / after,
-        }
+        results["engine.filter_isin_1e6"] = _speedup_row(before, after, N_BIG)
         assert after < MAX_AFTER_SECONDS["filter_isin_1e6"]
 
     def test_sort_by_1e6(self, big_table, results):
-        before, legacy = _timed(
+        before, legacy = best_of(
             lambda: legacy_sort_by(big_table, ["k", "k2"]), repeat=1
         )
-        after, ours = _timed(lambda: big_table.sort_by(["k", "k2"]))
+        after, ours = best_of(lambda: big_table.sort_by(["k", "k2"]))
         _assert_identical(ours, legacy)
-        results["sort_by_1e6"] = {
-            "rows": N_BIG,
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / after,
-        }
+        results["engine.sort_by_1e6"] = _speedup_row(before, after, N_BIG)
         assert after < MAX_AFTER_SECONDS["sort_by_1e6"]
 
     def test_encode_decode_1e6(self, big_table, results):
         # Encode: intern 1e6 python strings into int32 codes + pool.
         raw = big_table.column("k").to_list()
-        encode_s, encoded = _timed(lambda: Column("k", raw, DType.STR), repeat=1)
+        encode_s, encoded = best_of(lambda: Column("k", raw, DType.STR), repeat=1)
         # Decode: materialize the object array back from codes (lazy+cached
         # in normal use; take() yields an undecoded copy to measure fresh).
         fresh = encoded.take(np.arange(len(encoded)))
-        decode_s, _ = _timed(lambda: fresh.values, repeat=1)
+        decode_s, _ = best_of(lambda: fresh.values, repeat=1)
         assert encoded.to_list() == raw
-        results["encode_decode_1e6"] = {
+        results["engine.encode_decode_1e6"] = {
+            "seconds": encode_s + decode_s,
             "rows": N_BIG,
             "encode_s": encode_s,
             "decode_s": decode_s,
@@ -241,19 +214,15 @@ class TestEnginePerf:
         eager route materializes all 16 value columns through the filter."""
         pred = (col("v00") > 40.0) & (col("v00") <= 80.0)
         spec = {"m": ("v01", "mean"), "s": ("v01", "sum"), "n": ("v01", "count")}
-        before, eager = _timed(
+        before, eager = best_of(
             lambda: wide_table.filter(pred).group_by("k").aggregate(spec)
         )
         plan = wide_table.lazy().filter(pred).group_by("k").aggregate(spec)
-        after, fused = _timed(lambda: plan.collect(reuse=False))
+        after, fused = best_of(lambda: plan.collect(reuse=False))
         _assert_identical(fused, eager)
-        results["plan_fused_filter_agg"] = {
-            "rows": N_MID,
-            "groups": fused.n_rows,
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / after,
-        }
+        results["engine.plan_fused_filter_agg"] = _speedup_row(
+            before, after, N_MID, groups=fused.n_rows
+        )
         assert after < MAX_AFTER_SECONDS["plan_fused_filter_agg"]
         assert before / after >= MIN_FUSED_SPEEDUP, (
             f"fused filter->agg sped up only {before / after:.2f}x "
@@ -265,7 +234,7 @@ class TestEnginePerf:
         segment structure reused across the batched aggregators."""
         pred = col("v00") > 30.0
         spec = {"m": ("v01", "mean"), "sd": ("v01", "std"), "p": ("v01", "p95")}
-        before, eager = _timed(
+        before, eager = best_of(
             lambda: wide_table.filter(pred).group_by(["k", "k2"]).aggregate(spec)
         )
         plan = (
@@ -274,15 +243,11 @@ class TestEnginePerf:
             .group_by(["k", "k2"])
             .aggregate(spec)
         )
-        after, fused = _timed(lambda: plan.collect(reuse=False))
+        after, fused = best_of(lambda: plan.collect(reuse=False))
         _assert_identical(fused, eager)
-        results["groupby_multikey_fused"] = {
-            "rows": N_MID,
-            "groups": fused.n_rows,
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / after,
-        }
+        results["engine.groupby_multikey_fused"] = _speedup_row(
+            before, after, N_MID, groups=fused.n_rows
+        )
         assert after < MAX_AFTER_SECONDS["groupby_multikey_fused"]
 
     def test_subplan_reuse(self, wide_table, results):
@@ -295,16 +260,11 @@ class TestEnginePerf:
             global_plan_cache().clear()
             return plan.collect()
 
-        before, first = _timed(cold)
+        before, first = best_of(cold)
         plan.collect()  # prime
-        after, warm = _timed(lambda: plan.collect())
+        after, warm = best_of(lambda: plan.collect())
         _assert_identical(warm, first)
-        results["subplan_reuse"] = {
-            "rows": N_MID,
-            "before_s": before,
-            "after_s": after,
-            "speedup": before / after,
-        }
+        results["engine.subplan_reuse"] = _speedup_row(before, after, N_MID)
         global_plan_cache().clear()
         assert after < MAX_AFTER_SECONDS["subplan_reuse"]
         assert before / after >= MIN_REUSE_SPEEDUP, (
@@ -315,31 +275,14 @@ class TestEnginePerf:
     def test_zz_write_baseline(self, results, results_dir):
         """Persist the engine snapshot (runs last: named zz, module fixture)."""
         assert results, "no benchmark rows collected"
-        payload = {
-            "machine": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "platform": platform.platform(),
-            },
-            "benchmarks": results,
-        }
-        write_snapshot(baseline_path("engine"), payload)
-        # Mirror the rows into the in-process registry under the same
-        # names `repro bench compare` unifies the snapshot to.
-        registry = session_registry()
-        for name, row in results.items():
-            seconds = (
-                row["after_s"]
-                if "after_s" in row
-                else row["encode_s"] + row["decode_s"]
-            )
-            registry.record(f"engine.{name}", seconds, rows=row.get("rows"))
+        write_bench("engine", results)
         lines = []
         for name, row in results.items():
+            name = name.removeprefix("engine.")
             if "speedup" in row:
                 lines.append(
                     f"{name:24s} before {row['before_s']:.3f}s  "
-                    f"after {row['after_s']:.3f}s  {row['speedup']:.1f}x"
+                    f"after {row['seconds']:.3f}s  {row['speedup']:.1f}x"
                 )
             else:
                 lines.append(

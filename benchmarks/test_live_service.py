@@ -9,16 +9,14 @@ measured over a thousand requests are signal, not wall-clock noise.
 """
 
 import json
-import platform
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from bench_common import emit
 
-from repro.obs.bench import baseline_path, session_registry, write_snapshot
+from repro.obs.bench import write_bench
 from repro.obs.clock import monotonic
 from repro.obs.live.daemon import LiveDaemon
 from repro.obs.live.source import ReplaySource
@@ -115,7 +113,7 @@ class TestLiveServiceLoad:
         """Persist BENCH_live.json (runs last: named zz, module fixtures)."""
         assert "replay" in results and "load" in results
         replay, load = results["replay"], results["load"]
-        benchmarks = {
+        write_bench("live", {
             "live.replay": {
                 "seconds": replay["seconds"],
                 "rows": replay["rows"],
@@ -135,20 +133,7 @@ class TestLiveServiceLoad:
                 "requests": load["requests"],
                 "floor_ms": 0.2,
             },
-        }
-        payload = {
-            "machine": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "platform": platform.platform(),
-            },
-            "benchmarks": benchmarks,
-        }
-        write_snapshot(baseline_path("live"), payload)
-        registry = session_registry()
-        for name, row in benchmarks.items():
-            registry.record(name, row["seconds"],
-                            **{k: v for k, v in row.items() if k != "seconds"})
+        })
         emit(
             results_dir,
             "live_service",

@@ -14,7 +14,8 @@ Methodology (robust to timer noise on ms-scale kernels):
 4. assert ``per_span_cost x spans_per_op / op_time < 3%`` — an *upper
    bound* on the disabled overhead, independent of scheduler jitter.
 
-The measured numbers land in ``BENCH_obs.json`` at the repo root next to
+Each ``obs.*_disabled`` row's ``seconds`` is the op time with obs off;
+the rows land in ``BENCH_obs.json`` at the repo root next to
 ``BENCH_engine.json``, and an enabled-tracing run is recorded alongside
 for context (tracing on is allowed to cost; it is opt-in).
 
@@ -26,16 +27,13 @@ must hold.  A profiled run is measured alongside for context, like the
 traced runs.
 """
 
-import platform
-import time
-
 import numpy as np
 import pytest
 
 from bench_common import emit
 
 from repro import obs
-from repro.obs.bench import baseline_path, session_registry, write_snapshot
+from repro.obs.bench import best_of, write_bench
 from repro.tables.join import join
 from repro.tables.schema import DType
 from repro.tables.table import Table
@@ -43,18 +41,11 @@ from repro.tables.table import Table
 N_ROWS = 300_000
 N_SPAN_CALLS = 100_000
 
+#: Best-of repetitions per timed op.
+REPEAT = 5
+
 #: The acceptance gate: disabled instrumentation under 3% of op time.
 MAX_DISABLED_OVERHEAD = 0.03
-
-
-def _timed(fn, repeat=5):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +74,12 @@ def results():
     return {}
 
 
+@pytest.fixture(scope="module")
+def context():
+    """File-level numbers that are not rows (the disabled span's cost)."""
+    return {}
+
+
 def _disabled_span_cost_s():
     """Per-call wall cost of the disabled obs.span fast path."""
     obs.reset()
@@ -92,7 +89,7 @@ def _disabled_span_cost_s():
             with obs.span("kernel.bench", metric="kernel.bench_ms", rows=1):
                 pass
 
-    total, _ = _timed(burst, repeat=3)
+    total, _ = best_of(burst, repeat=3)
     return total / N_SPAN_CALLS
 
 
@@ -108,9 +105,9 @@ def _spans_per_op(fn):
 
 
 class TestObsOverhead:
-    def test_disabled_span_is_submicrosecond(self, results):
+    def test_disabled_span_is_submicrosecond(self, context):
         cost = _disabled_span_cost_s()
-        results["disabled_span_cost_us"] = cost * 1e6
+        context["disabled_span_cost_us"] = cost * 1e6
         # The whole point of NULL_SPAN: no allocation beyond the kwargs
         # dict, no clock read.  Anything over 10μs means the gate broke.
         assert cost < 10e-6, f"disabled span costs {cost * 1e6:.2f}μs"
@@ -128,18 +125,18 @@ class TestObsOverhead:
         op = ops[op_name]
 
         obs.reset()  # obs disabled: the production default
-        op_s, _ = _timed(op)
+        op_s, _ = best_of(op, REPEAT)
         n_spans = _spans_per_op(op)
         span_cost_s = _disabled_span_cost_s()
         overhead = (span_cost_s * n_spans) / op_s
 
         obs.enable(trace=True, metrics=True)
-        traced_s, _ = _timed(op)
+        traced_s, _ = best_of(op, REPEAT)
         obs.reset()
 
-        results[op_name] = {
+        results[f"obs.{op_name}_disabled"] = {
+            "seconds": op_s,
             "rows": N_ROWS,
-            "op_s_disabled": op_s,
             "op_s_traced": traced_s,
             "spans_per_op": n_spans,
             "span_cost_us": span_cost_s * 1e6,
@@ -168,7 +165,7 @@ class TestObsOverhead:
         session = ProfileSession(sample=True, allocs=True)
         assert not session.running
         span_cost_s = _disabled_span_cost_s()
-        op_s, _ = _timed(op)
+        op_s, _ = best_of(op, REPEAT)
         n_spans = _spans_per_op(op)
         overhead = (span_cost_s * n_spans) / op_s
 
@@ -178,15 +175,15 @@ class TestObsOverhead:
         obs.enable(trace=True, metrics=True)
         session = ProfileSession(sample=True, allocs=True).start()
         try:
-            profiled_s, _ = _timed(op)
+            profiled_s, _ = best_of(op, REPEAT)
             samples = session.sampler.n_samples
         finally:
             session.stop()
             obs.reset()
 
-        results["profile"] = {
+        results["obs.profile_disabled"] = {
+            "seconds": op_s,
             "rows": N_ROWS,
-            "op_s_disabled": op_s,
             "op_s_profiled": profiled_s,
             "spans_per_op": n_spans,
             "span_cost_us": span_cost_s * 1e6,
@@ -203,41 +200,29 @@ class TestObsOverhead:
             f"(need < {MAX_DISABLED_OVERHEAD:.0%})"
         )
 
-    def test_zz_write_baseline(self, results, results_dir):
+    def test_zz_write_baseline(self, results, context, results_dir):
         """Persist the obs snapshot (runs last: named zz, module fixture)."""
-        assert "groupby" in results and "join" in results
-        assert "profile" in results
-        payload = {
-            "machine": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "platform": platform.platform(),
-            },
-            "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
-            "benchmarks": results,
+        assert set(results) == {
+            "obs.groupby_disabled", "obs.join_disabled", "obs.profile_disabled"
         }
-        write_snapshot(baseline_path("obs"), payload)
-        registry = session_registry()
-        for name in ("groupby", "join", "profile"):
-            registry.record(
-                f"obs.{name}_disabled",
-                results[name]["op_s_disabled"],
-                rows=results[name]["rows"],
-            )
+        write_bench(
+            "obs", results,
+            max_disabled_overhead=MAX_DISABLED_OVERHEAD, **context,
+        )
         lines = [
-            f"disabled span cost: {results['disabled_span_cost_us']:.3f}μs/call"
+            f"disabled span cost: {context['disabled_span_cost_us']:.3f}μs/call"
         ]
         for name in ("groupby", "join"):
-            row = results[name]
+            row = results[f"obs.{name}_disabled"]
             lines.append(
-                f"{name:8s} disabled {row['op_s_disabled']:.4f}s  "
+                f"{name:8s} disabled {row['seconds']:.4f}s  "
                 f"traced {row['op_s_traced']:.4f}s  "
                 f"{row['spans_per_op']} spans/op  "
                 f"overhead(off) {row['disabled_overhead_fraction']:.4%}"
             )
-        prof = results["profile"]
+        prof = results["obs.profile_disabled"]
         lines.append(
-            f"profile  disabled {prof['op_s_disabled']:.4f}s  "
+            f"profile  disabled {prof['seconds']:.4f}s  "
             f"profiled {prof['op_s_profiled']:.4f}s  "
             f"({prof['sampler_samples']} samples @ "
             f"{prof['sampler_interval_ms']:g}ms)  "

@@ -4,10 +4,11 @@ End-to-end wall time is a blunt gate: a 2x regression in one stage can
 hide behind savings in another.  This bench profiles a full traced
 pipeline run, attributes *exclusive* (self) time to every span name via
 ``repro.obs.profile.selftime``, and records the top hotspots in
-``BENCH_profile.json`` through the sanctioned writer.  Each hotspot then
-becomes its own row in the unified baseline, so ``repro bench compare``
-(exit 6) fires when any individual hot path slows beyond the threshold —
-the per-hotspot regression gate of docs/OBSERVABILITY.md.
+``BENCH_profile.json`` through the sanctioned writer: one
+``hotspot.<span>`` row each, whose ``seconds`` is the span's self time,
+so ``repro bench compare`` (exit 6) fires when any individual hot path
+slows beyond the threshold — the per-hotspot regression gate of
+docs/OBSERVABILITY.md.
 
 Only hotspots comfortably above the comparison noise floor are recorded
 (2x ``DEFAULT_MIN_SECONDS``); a 3ms span cannot be gated with a wall
@@ -15,19 +16,12 @@ clock.  The sum-to-root invariant (Σ self == root duration) is asserted
 here too, on real pipeline spans rather than synthetic ones.
 """
 
-import platform
-
 import pytest
 
 from bench_common import bench_scale, emit
 
 from repro import obs
-from repro.obs.bench import (
-    DEFAULT_MIN_SECONDS,
-    baseline_path,
-    session_registry,
-    write_snapshot,
-)
+from repro.obs.bench import DEFAULT_MIN_SECONDS, write_bench
 from repro.obs.profile import render_self_time, self_time_profile
 from repro.runtime.run import run_pipeline
 from repro.synth.generator import GeneratorConfig
@@ -92,28 +86,21 @@ class TestProfileHotspots:
         hotspots = [
             e for e in profile.entries if e.self_s >= MIN_HOTSPOT_S
         ][:TOP_N]
-        payload = {
-            "machine": {
-                "python": platform.python_version(),
-                "platform": platform.platform(),
-            },
-            "scale": bench_scale(),
-            "experiments": EXPERIMENTS or "all",
-            "root_total_s": profile.root_total_s,
-            "benchmarks": {
+        write_bench(
+            "profile",
+            {
                 f"hotspot.{e.name}": {
-                    "self_s": e.self_s,
+                    "seconds": e.self_s,
                     "total_s": e.total_s,
                     "calls": e.calls,
                     "layer": e.layer,
                 }
                 for e in hotspots
             },
-        }
-        write_snapshot(baseline_path("profile"), payload)
-        registry = session_registry()
-        for e in hotspots:
-            registry.record(f"hotspot.{e.name}", e.self_s, calls=e.calls)
+            scale=bench_scale(),
+            experiments=EXPERIMENTS or "all",
+            root_total_s=profile.root_total_s,
+        )
         emit(
             results_dir,
             "profile_hotspots",

@@ -27,20 +27,21 @@ Methodology (robust to timer noise, mirroring ``test_obs_overhead``):
    flake the suite.
 
 The numbers land in ``BENCH_storage.json`` next to ``BENCH_engine.json``
-and ``BENCH_obs.json``, and the committed-path timing feeds the session
-registry, so ``repro bench compare`` gates it against history like every
-other benchmark.
+and ``BENCH_obs.json``.  Its one row, the end-to-end ``write_csv`` time
+(``storage.csv_write_end_to_end_committed``), is what ``repro bench
+compare`` gates against history; the persist breakdown and the verified
+read sit beside it as context.
 """
 
 import os
-import platform
 
 import numpy as np
 import pytest
 
-from bench_common import emit, timed
+from bench_common import emit
 
 from repro import storage
+from repro.obs.bench import best_of, write_bench
 from repro.tables.io import read_csv_checked, write_csv
 from repro.tables.schema import DType
 from repro.tables.table import Table
@@ -83,6 +84,12 @@ def results():
     return {}
 
 
+@pytest.fixture(scope="module")
+def context():
+    """File-level numbers that are not rows (the breakdown, the read)."""
+    return {}
+
+
 def _serialize(table):
     """The exact bytes ``write_csv`` commits, produced the exact same way."""
     import csv
@@ -119,21 +126,21 @@ class TestStorageOverhead:
         assert storage.read_bytes(committed) == bare_bytes
         assert os.path.exists(storage.sidecar_path(committed))
 
-    def test_commit_overhead_under_budget(self, table, tmp_path, results):
+    def test_commit_overhead_under_budget(self, table, tmp_path, context):
         bare = str(tmp_path / "bare.csv")
         committed = str(tmp_path / "committed.csv")
         fsynced = str(tmp_path / "fsynced.csv")
 
-        serialize_s, text = timed(lambda: _serialize(table), repeat=3)
-        bare_s, _ = timed(lambda: _bare_persist(text, bare), repeat=REPEAT)
-        committed_s, _ = timed(
+        serialize_s, text = best_of(lambda: _serialize(table), repeat=3)
+        bare_s, _ = best_of(lambda: _bare_persist(text, bare), repeat=REPEAT)
+        committed_s, _ = best_of(
             lambda: storage.commit_text(
                 committed, text, label="bench.committed.csv",
                 sidecar=True, durable=False,
             ),
             repeat=REPEAT,
         )
-        durable_s, _ = timed(
+        durable_s, _ = best_of(
             lambda: storage.commit_text(
                 fsynced, text, label="bench.fsynced.csv",
                 sidecar=True, durable=True,
@@ -143,7 +150,7 @@ class TestStorageOverhead:
         overhead = (committed_s - bare_s) / (serialize_s + bare_s)
         durable_overhead = (durable_s - bare_s) / (serialize_s + bare_s)
 
-        results["csv_write"] = {
+        context["csv_write"] = {
             "rows": N_ROWS,
             "bytes": os.path.getsize(committed),
             "serialize_s": serialize_s,
@@ -162,18 +169,13 @@ class TestStorageOverhead:
     def test_end_to_end_write_csv(self, table, tmp_path, results):
         """The real ``write_csv`` timing, fed to the history gate."""
         path = str(tmp_path / "e2e.csv")
-        committed_s, _ = timed(
-            lambda: write_csv(table, path),
-            repeat=3,
-            name="storage.csv_write_end_to_end_committed",
-            rows=N_ROWS,
-        )
-        results["csv_write_end_to_end"] = {
+        committed_s, _ = best_of(lambda: write_csv(table, path), repeat=3)
+        results["storage.csv_write_end_to_end_committed"] = {
+            "seconds": committed_s,
             "rows": N_ROWS,
-            "committed_s": committed_s,
         }
 
-    def test_verified_read_roundtrips(self, table, tmp_path, results):
+    def test_verified_read_roundtrips(self, table, tmp_path, context):
         """The sidecar-verified read path, timed for the record."""
         path = str(tmp_path / "roundtrip.csv")
         write_csv(table, path)
@@ -183,34 +185,21 @@ class TestStorageOverhead:
             "download_mbps": DType.FLOAT,
             "rtt_ms": DType.FLOAT,
         }
-        read_s, result = timed(
+        read_s, result = best_of(
             lambda: read_csv_checked(path, dtypes), repeat=3
         )
-        results["csv_read_verified"] = {"rows": N_ROWS, "seconds": read_s}
+        context["csv_read_verified"] = {"rows": N_ROWS, "seconds": read_s}
         assert result.table.n_rows == table.n_rows
         assert result.quarantine.n_rows == 0
 
-    def test_zz_write_baseline(self, results, results_dir):
+    def test_zz_write_baseline(self, results, context, results_dir):
         """Persist the storage snapshot (runs last: named zz, module fixture)."""
-        from repro.obs.bench import baseline_path, session_registry, write_snapshot
-
-        assert "csv_write" in results
-        row = results["csv_write"]
-        payload = {
-            "machine": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "platform": platform.platform(),
-            },
-            "max_storage_overhead": MAX_STORAGE_OVERHEAD,
-            "benchmarks": results,
-        }
-        write_snapshot(baseline_path("storage"), payload)
-        registry = session_registry()
-        e2e = results["csv_write_end_to_end"]
-        registry.record(
-            "storage.csv_write_end_to_end_committed", e2e["committed_s"], rows=e2e["rows"]
+        write_bench(
+            "storage", results,
+            max_storage_overhead=MAX_STORAGE_OVERHEAD, **context,
         )
+        row, read = context["csv_write"], context["csv_read_verified"]
+        e2e = results["storage.csv_write_end_to_end_committed"]
         lines = [
             f"csv persist ({row['rows']} rows, {row['bytes'] / 1e6:.1f} MB): "
             f"serialize {row['serialize_s']:.4f}s  "
@@ -221,7 +210,7 @@ class TestStorageOverhead:
             f"(budget {MAX_STORAGE_OVERHEAD:.0%}), "
             f"durable tier {row['durable_overhead_fraction']:.2%} "
             f"(context: checkpoints only)",
-            f"end-to-end write_csv: {e2e['committed_s']:.4f}s",
-            f"verified read: {results['csv_read_verified']['seconds']:.4f}s",
+            f"end-to-end write_csv: {e2e['seconds']:.4f}s",
+            f"verified read: {read['seconds']:.4f}s",
         ]
         emit(results_dir, "storage_overhead", "\n".join(lines))

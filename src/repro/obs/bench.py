@@ -1,14 +1,23 @@
-"""The benchmark registry: one history, one comparison, one writer.
+"""The benchmark registry: one row shape, one writer, one history, one gate.
 
-Before this module, performance numbers lived in disconnected one-off
-snapshots: ``BENCH_engine.json`` (vectorized-engine speedups) and
-``BENCH_obs.json`` (disabled-instrumentation overhead), each written by a
-different benchmark file, with no trend and no gate.  This module unifies
-them:
+Every benchmark number is a **registry row**, ``{"seconds": s, ...meta}``
+under its final name (``engine.*``, ``obs.*_disabled``,
+``storage.*_committed``, ``hotspot.*``, ``live.*``, ``micro.*``,
+``pytest.*``).  ``seconds`` is the one number the gate reads; everything
+else in the row (``rows``, ``calls``, a row's own ``floor_ms`` noise
+floor, a before/after pair) is context for the reader.
 
-* :class:`BenchRegistry` — an in-process accumulator benchmarks record
-  wall-clock results into (``benchmarks/bench_common.py`` exposes the
-  shared session instance, so every benchmark module feeds it for free);
+* :class:`BenchRegistry` — an in-process accumulator of rows; its
+  :meth:`~BenchRegistry.record` is where a row is checked (``seconds`` a
+  finite number >= 0), and :func:`session_registry` is the process-wide
+  instance the benchmark suite records into;
+* :func:`write_bench` — the one writer the benchmark modules call: it
+  checks the rows, stamps the ``machine``, commits ``BENCH_<kind>.json``
+  through :func:`write_snapshot` and records the same rows into the
+  session registry;
+* :func:`load_rows` / :func:`load_snapshots` — the one loader: a file's
+  rows (a snapshot, a run record, or a bare ``name -> row`` map) through
+  the same checks, and every checked-in snapshot merged;
 * :func:`append_history` — an **append-only** JSONL history
   (``BENCH_history.jsonl`` at the repo root): one run record per line,
   keyed by an *externally supplied* sha/timestamp (``--sha``/``--ts`` or
@@ -18,10 +27,13 @@ them:
   regresses when it slows beyond a configurable threshold (default
   +20%), and sub-``min_seconds`` timings are ignored entirely because a
   3ms kernel cannot be compared across runs with a wall clock;
-* :func:`write_snapshot` — the **one sanctioned writer** of
-  ``BENCH_*.json`` files.  The ``no-bare-timing`` lint rule flags
-  ``BENCH_*`` path literals anywhere else, so ad-hoc baseline files
-  cannot quietly reappear.
+* :func:`best_of` — the one best-of-N timer, shared by ``repro bench
+  run`` and the benchmark modules.
+
+:func:`write_snapshot` is the **one sanctioned writer** of
+``BENCH_*.json`` files.  The ``no-bare-timing`` lint rule flags
+``BENCH_*`` path literals anywhere else, so ad-hoc baseline files
+cannot quietly reappear.
 
 ``repro bench run|compare|record`` is the CLI face (exit code 6 on
 regressions); ``make bench-compare`` wires the comparison into the
@@ -33,34 +45,44 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
+import numbers
 import os
+import platform
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import storage
+from repro.obs.clock import monotonic
+from repro.util.errors import ReproError
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "BenchRegistry",
+    "BenchRowError",
     "ComparisonResult",
     "DEFAULT_MIN_SECONDS",
     "DEFAULT_THRESHOLD",
     "EXIT_PERF_REGRESSION",
     "Regression",
+    "SNAPSHOT_KINDS",
     "append_history",
     "baseline_path",
+    "best_of",
     "cmd_bench",
     "compare",
     "configure_parser",
     "history_path",
     "load_history",
-    "load_legacy_baselines",
+    "load_rows",
+    "load_snapshots",
     "render_comparison",
     "repo_root",
     "session_registry",
+    "write_bench",
     "write_snapshot",
 ]
 
@@ -75,10 +97,8 @@ DEFAULT_THRESHOLD = 0.20
 #: noise on millisecond kernels would fire the gate randomly.
 DEFAULT_MIN_SECONDS = 0.01
 
-_LEGACY_BASENAMES = (
-    "BENCH_engine.json", "BENCH_obs.json", "BENCH_storage.json",
-    "BENCH_profile.json", "BENCH_live.json",
-)
+#: The checked-in snapshots, one ``BENCH_<kind>.json`` per benchmark module.
+SNAPSHOT_KINDS = ("engine", "obs", "storage", "profile", "live")
 _HISTORY_BASENAME = "BENCH_history.jsonl"
 
 
@@ -88,25 +108,43 @@ def repo_root() -> Path:
 
 
 def baseline_path(kind: str, root: Optional[Path] = None) -> Path:
-    """Path of a one-off snapshot: ``engine``/``obs``/``storage``/``profile``/``live``."""
-    names = {
-        "engine": _LEGACY_BASENAMES[0],
-        "obs": _LEGACY_BASENAMES[1],
-        "storage": _LEGACY_BASENAMES[2],
-        "profile": _LEGACY_BASENAMES[3],
-        "live": _LEGACY_BASENAMES[4],
-    }
-    if kind not in names:
+    """Path of one snapshot: ``engine``/``obs``/``storage``/``profile``/``live``."""
+    if kind not in SNAPSHOT_KINDS:
         raise ValueError(
-            f"unknown baseline kind {kind!r}; use "
-            f"engine|obs|storage|profile|live"
+            f"unknown baseline kind {kind!r}; use {'|'.join(SNAPSHOT_KINDS)}"
         )
-    return (root or repo_root()) / names[kind]
+    return (root or repo_root()) / f"BENCH_{kind}.json"
 
 
 def history_path(root: Optional[Path] = None) -> Path:
     """Path of the append-only run-record history."""
     return (root or repo_root()) / _HISTORY_BASENAME
+
+
+class BenchRowError(ReproError, ValueError):
+    """A benchmark row is not a registry row."""
+
+
+def _registry_row(name: Any, row: Any) -> Dict[str, Any]:
+    """``row`` as a registry row, or :class:`BenchRowError`.
+
+    A row is a number (its seconds) or an object whose ``seconds`` is a
+    finite number >= 0; the rest of the object is kept as the row's meta.
+    """
+    if not isinstance(name, str) or not name:
+        raise BenchRowError(f"benchmark name must be a non-empty string: {name!r}")
+    if not isinstance(row, dict):
+        row = {"seconds": row}
+    seconds = row.get("seconds")
+    if not isinstance(seconds, numbers.Real) or isinstance(seconds, bool):
+        raise BenchRowError(
+            f"benchmark {name!r}: seconds must be a number, got {seconds!r}"
+        )
+    if not math.isfinite(seconds):
+        raise BenchRowError(f"benchmark {name!r}: seconds must be finite: {seconds}")
+    if seconds < 0:
+        raise BenchRowError(f"benchmark {name!r}: negative seconds {seconds}")
+    return {**row, "seconds": float(seconds)}
 
 
 class BenchRegistry:
@@ -119,13 +157,8 @@ class BenchRegistry:
         return len(self._records)
 
     def record(self, name: str, seconds: float, **meta: Any) -> None:
-        """Record one benchmark timing (last write wins per name)."""
-        if not name:
-            raise ValueError("benchmark name must be non-empty")
-        seconds = float(seconds)
-        if seconds < 0:
-            raise ValueError(f"benchmark {name!r}: negative seconds {seconds}")
-        self._records[name] = {"seconds": seconds, **meta}
+        """Record one checked row (last write wins per name)."""
+        self._records[name] = _registry_row(name, {"seconds": seconds, **meta})
 
     def as_benchmarks(self) -> Dict[str, Dict[str, Any]]:
         """A name-sorted copy, ready for :func:`append_history`."""
@@ -140,15 +173,25 @@ def session_registry() -> BenchRegistry:
     return _session
 
 
+def best_of(fn: Callable[[], Any], repeat: int = 3) -> Tuple[float, Any]:
+    """Best-of-``repeat`` wall time of ``fn()`` (at least one call), with
+    the last call's result."""
+    best = float("inf")
+    result = None
+    for _ in range(max(1, repeat)):
+        t0 = monotonic()
+        result = fn()
+        best = min(best, monotonic() - t0)
+    return best, result
+
+
 # -- snapshots and history ---------------------------------------------------
 def write_snapshot(path, payload: Dict[str, Any]) -> str:
     """Write a ``BENCH_*.json`` snapshot — the one sanctioned writer.
 
-    Keeps the historical human-readable format (indent 2, trailing
-    newline) the legacy baselines used, so migrating the writers does not
-    churn the checked-in files.  Commits atomically through
-    :mod:`repro.storage` — a crash mid-write leaves the previous snapshot,
-    never a torn JSON file.
+    Human-readable (indent 2, trailing newline), and committed atomically
+    through :mod:`repro.storage` — a crash mid-write leaves the previous
+    snapshot, never a torn JSON file.
     """
     path = Path(path)
     storage.commit_text(
@@ -159,90 +202,84 @@ def write_snapshot(path, payload: Dict[str, Any]) -> str:
     return str(path)
 
 
-def _seconds_entry(value: Any) -> Optional[float]:
-    if isinstance(value, dict):
-        value = value.get("seconds")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    return None
+def _machine() -> Dict[str, str]:
+    """The interpreter, numpy and platform a snapshot was measured on."""
+    import numpy as np
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
 
 
-def _floor_entry(value: Any) -> Optional[float]:
-    """A row's own noise floor in seconds (``floor_ms`` key), if declared."""
-    if not isinstance(value, dict):
-        return None
-    floor = value.get("floor_ms")
-    if isinstance(floor, (int, float)) and not isinstance(floor, bool):
-        if floor < 0:
-            raise ValueError(f"floor_ms must be >= 0, got {floor}")
-        return float(floor) / 1000.0
-    return None
+def write_bench(
+    kind: str,
+    benchmarks: Dict[str, Any],
+    *,
+    root: Optional[Path] = None,
+    **context: Any,
+) -> str:
+    """Commit ``BENCH_<kind>.json`` and record its rows in the session registry.
+
+    ``benchmarks`` maps each row's final name to its registry row;
+    ``context`` holds file-level facts that are not rows (a budget, the
+    scale), written beside ``benchmarks`` after the ``machine`` stamp.
+    Every row is checked before anything is written, so a bad row leaves
+    the previous snapshot in place.  Returns the snapshot's path.
+    """
+    rows = {name: _registry_row(name, row) for name, row in benchmarks.items()}
+    path = write_snapshot(
+        baseline_path(kind, root),
+        {"machine": _machine(), **context, "benchmarks": rows},
+    )
+    for name, row in rows.items():
+        _session.record(name, **row)
+    return path
 
 
-def load_legacy_baselines(root: Optional[Path] = None) -> Dict[str, Dict[str, Any]]:
-    """Unify the ad-hoc ``BENCH_*.json`` snapshots into registry rows.
+def load_rows(path) -> Dict[str, Dict[str, Any]]:
+    """The checked registry rows of one JSON file.
 
-    Engine rows keep the vectorized path's time (``after_s``); the
-    encode/decode row sums its two phases; obs rows keep the disabled-path
-    op times; storage rows keep the committed-path times (the durability
-    cost the 5% budget bounds).  Missing files are simply skipped, so a
-    fresh clone without recorded baselines still works.
+    The file is a snapshot or a run record (rows under ``benchmarks``) or
+    a bare ``name -> row`` map; each row passes :class:`BenchRegistry`'s
+    checks.  Anything else — a missing file, invalid JSON, an array or a
+    number, a row without numeric ``seconds`` — raises a
+    :class:`~repro.util.errors.ReproError` naming the file.
+    """
+    try:
+        data = json.loads(storage.read_text(str(path)))
+    except FileNotFoundError:
+        raise ReproError(f"no such file: {path}") from None
+    except ValueError as exc:
+        raise ReproError(f"{path} is not valid JSON: {exc}") from exc
+    if isinstance(data, dict) and "benchmarks" in data:
+        data = data["benchmarks"]
+    if not isinstance(data, dict):
+        raise BenchRowError(
+            f"{path}: expected an object of benchmark rows, "
+            f"got {type(data).__name__}"
+        )
+    rows: Dict[str, Dict[str, Any]] = {}
+    for name, row in data.items():
+        try:
+            rows[name] = _registry_row(name, row)
+        except BenchRowError as exc:
+            raise BenchRowError(f"{path}: {exc}") from None
+    return rows
+
+
+def load_snapshots(root: Optional[Path] = None) -> Dict[str, Dict[str, Any]]:
+    """The rows of every ``BENCH_<kind>.json`` under ``root``, merged.
+
+    Missing files are skipped, so a fresh clone without recorded
+    snapshots still works.
     """
     out: Dict[str, Dict[str, Any]] = {}
-    engine = baseline_path("engine", root)
-    if engine.exists():
-        data = json.loads(engine.read_text(encoding="utf-8"))
-        for name, row in data.get("benchmarks", {}).items():
-            if "after_s" in row:
-                out[f"engine.{name}"] = {
-                    "seconds": float(row["after_s"]),
-                    "rows": row.get("rows"),
-                }
-            elif "encode_s" in row:
-                out[f"engine.{name}"] = {
-                    "seconds": float(row["encode_s"]) + float(row["decode_s"]),
-                    "rows": row.get("rows"),
-                }
-    obs_file = baseline_path("obs", root)
-    if obs_file.exists():
-        data = json.loads(obs_file.read_text(encoding="utf-8"))
-        for name, row in data.get("benchmarks", {}).items():
-            if isinstance(row, dict) and "op_s_disabled" in row:
-                out[f"obs.{name}_disabled"] = {
-                    "seconds": float(row["op_s_disabled"]),
-                    "rows": row.get("rows"),
-                }
-    storage_file = baseline_path("storage", root)
-    if storage_file.exists():
-        data = json.loads(storage_file.read_text(encoding="utf-8"))
-        for name, row in data.get("benchmarks", {}).items():
-            if isinstance(row, dict) and "committed_s" in row:
-                out[f"storage.{name}_committed"] = {
-                    "seconds": float(row["committed_s"]),
-                    "rows": row.get("rows"),
-                }
-    profile_file = baseline_path("profile", root)
-    if profile_file.exists():
-        data = json.loads(profile_file.read_text(encoding="utf-8"))
-        for name, row in data.get("benchmarks", {}).items():
-            # Hotspot rows gate per-span-name *self* time, so a hot path
-            # regression inside one stage fires even when end-to-end wall
-            # time hides it behind savings elsewhere.
-            if isinstance(row, dict) and "self_s" in row:
-                out[name] = {
-                    "seconds": float(row["self_s"]),
-                    "calls": row.get("calls"),
-                }
-    live_file = baseline_path("live", root)
-    if live_file.exists():
-        data = json.loads(live_file.read_text(encoding="utf-8"))
-        for name, row in data.get("benchmarks", {}).items():
-            # Live-service rows already use the registry shape and carry
-            # their own per-key noise floor (``floor_ms``): request
-            # latencies gate at a tighter floor than the 10ms default,
-            # which would skip every sub-10ms p50/p99 row as noise.
-            if isinstance(row, dict) and "seconds" in row:
-                out[name] = dict(row)
+    for kind in SNAPSHOT_KINDS:
+        path = baseline_path(kind, root)
+        if path.exists():
+            out.update(load_rows(path))
     return out
 
 
@@ -318,6 +355,26 @@ def load_history(path=None) -> List[Dict[str, Any]]:
 
 
 # -- comparison --------------------------------------------------------------
+def _seconds_entry(value: Any) -> Optional[float]:
+    if isinstance(value, dict):
+        value = value.get("seconds")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def _floor_entry(value: Any) -> Optional[float]:
+    """A row's own noise floor in seconds (``floor_ms`` key), if declared."""
+    if not isinstance(value, dict):
+        return None
+    floor = value.get("floor_ms")
+    if isinstance(floor, (int, float)) and not isinstance(floor, bool):
+        if floor < 0:
+            raise BenchRowError(f"floor_ms must be >= 0, got {floor}")
+        return float(floor) / 1000.0
+    return None
+
+
 @dataclass(frozen=True)
 class Regression:
     """One benchmark that slowed beyond the threshold."""
@@ -445,7 +502,6 @@ def run_micro_suite(
     """
     import numpy as np
 
-    from repro.obs.clock import monotonic
     from repro.tables.join import join
     from repro.tables.schema import DType
     from repro.tables.table import Table
@@ -475,11 +531,7 @@ def run_micro_suite(
         "micro.sort_by": lambda: big.sort_by(["k", "k2"]),
     }
     for name, fn in suite.items():
-        best = float("inf")
-        for _ in range(max(1, repeat)):
-            t0 = monotonic()
-            fn()
-            best = min(best, monotonic() - t0)
+        best, _ = best_of(fn, repeat)
         registry.record(name, best, rows=rows, repeat=repeat)
     return registry
 
@@ -524,8 +576,8 @@ def configure_parser(sub: argparse._SubParsersAction) -> None:
     )
     comp.add_argument(
         "--current", default=None, metavar="PATH",
-        help="JSON of current numbers (a run record or name->seconds map; "
-        "default: the unified BENCH_engine/BENCH_obs snapshots)",
+        help="JSON of current rows: a BENCH_*.json snapshot, a run record "
+        "or a name->row map (default: every checked-in BENCH_<kind>.json)",
     )
     comp.add_argument(
         "--history", default=None, metavar="PATH",
@@ -545,8 +597,8 @@ def configure_parser(sub: argparse._SubParsersAction) -> None:
     )
     rec.add_argument(
         "--input", default=None, metavar="PATH",
-        help="JSON of numbers to record (default: the unified "
-        "BENCH_engine/BENCH_obs snapshots)",
+        help="JSON of rows to record: a BENCH_*.json snapshot, a run record "
+        "or a name->row map (default: every checked-in BENCH_<kind>.json)",
     )
     rec.add_argument(
         "--history", default=None, metavar="PATH",
@@ -576,21 +628,8 @@ def _run_key(args) -> Dict[str, str]:
 
 
 def _load_benchmarks_arg(path: Optional[str]) -> Dict[str, Any]:
-    """Current/recorded numbers from a file, or the unified legacy snapshots."""
-    if path is None:
-        return load_legacy_baselines()
-    from repro.util.errors import ReproError
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ReproError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path} is not valid JSON: {exc}") from exc
-    if "benchmarks" in data:
-        return data["benchmarks"]
-    return data
+    """Current/recorded rows from a file, or every checked-in snapshot."""
+    return load_snapshots() if path is None else load_rows(path)
 
 
 def _cmd_run(args) -> int:

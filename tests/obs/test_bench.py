@@ -8,15 +8,34 @@ from repro.cli import main
 from repro.obs.bench import (
     DEFAULT_MIN_SECONDS,
     EXIT_PERF_REGRESSION,
+    SNAPSHOT_KINDS,
     BenchRegistry,
+    BenchRowError,
     append_history,
     baseline_path,
     compare,
     load_history,
-    load_legacy_baselines,
+    load_rows,
+    load_snapshots,
     render_comparison,
+    session_registry,
+    write_bench,
     write_snapshot,
 )
+from repro.util.errors import ReproError
+
+#: Files that are not a set of registry rows: ``load_rows`` refuses each.
+MALFORMED = {
+    "array": "[1, 2]",
+    "number": "42",
+    "string_seconds": '{"a": {"seconds": "x"}}',
+    "no_seconds": '{"benchmarks": {"a": {"rows": 3}}}',
+    "negative": '{"a": -1.0}',
+    "nan": '{"a": {"seconds": NaN}}',
+    "rows_not_an_object": '{"benchmarks": [1.0]}',
+}
+#: The inputs that crashed ``repro bench compare``/``record`` untyped.
+CLI_MALFORMED = ("array", "number", "string_seconds")
 
 
 class TestRegistry:
@@ -39,6 +58,9 @@ class TestRegistry:
             BenchRegistry().record("", 1.0)
         with pytest.raises(ValueError, match="negative"):
             BenchRegistry().record("x", -1.0)
+        for bad in ("1.5", True, None, float("nan"), float("inf")):
+            with pytest.raises(BenchRowError):
+                BenchRegistry().record("x", bad)
 
 
 class TestHistory:
@@ -133,40 +155,8 @@ class TestCompare:
 
 
 class TestLegacyUnification:
-    def test_engine_and_obs_snapshots_unify(self, tmp_path):
-        write_snapshot(
-            tmp_path / "BENCH_engine.json",
-            {"benchmarks": {
-                "groupby_mean_1e6": {"rows": 10, "after_s": 0.5, "before_s": 2.0},
-                "encode_decode_1e6": {"rows": 10, "encode_s": 0.2, "decode_s": 0.1},
-            }},
-        )
-        write_snapshot(
-            tmp_path / "BENCH_obs.json",
-            {"benchmarks": {"groupby": {"rows": 10, "op_s_disabled": 0.4}}},
-        )
-        rows = load_legacy_baselines(tmp_path)
-        assert rows["engine.groupby_mean_1e6"]["seconds"] == 0.5
-        assert rows["engine.encode_decode_1e6"]["seconds"] == pytest.approx(0.3)
-        assert rows["obs.groupby_disabled"]["seconds"] == 0.4
-
     def test_missing_snapshots_are_fine(self, tmp_path):
-        assert load_legacy_baselines(tmp_path) == {}
-
-    def test_profile_hotspots_unify_under_raw_names(self, tmp_path):
-        write_snapshot(
-            tmp_path / "BENCH_profile.json",
-            {"benchmarks": {
-                "hotspot.stage.generate": {"self_s": 5.0, "calls": 1},
-                "hotspot.plan.filter": {"self_s": 0.05, "calls": 214},
-                "not_a_hotspot": {"seconds": 1.0},
-            }},
-        )
-        rows = load_legacy_baselines(tmp_path)
-        # Hotspot rows are pre-namespaced: no extra prefix added.
-        assert rows["hotspot.stage.generate"]["seconds"] == 5.0
-        assert rows["hotspot.plan.filter"]["calls"] == 214
-        assert "not_a_hotspot" not in rows  # only self_s rows are gated
+        assert load_snapshots(tmp_path) == {}
 
     def test_profile_baseline_path(self, tmp_path):
         assert baseline_path("profile", tmp_path).name == "BENCH_profile.json"
@@ -178,6 +168,61 @@ class TestLegacyUnification:
         text = open(path).read()
         assert text.endswith("\n")
         assert json.loads(text) == {"benchmarks": {}}
+
+
+class TestOneRowShape:
+    @pytest.mark.parametrize("kind", SNAPSHOT_KINDS)
+    def test_checked_in_snapshot_holds_only_registry_rows(self, kind):
+        path = baseline_path(kind)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        rows = data["benchmarks"]
+        assert rows
+        for name, row in rows.items():
+            assert isinstance(row, dict), name
+            seconds = row.get("seconds")
+            assert isinstance(seconds, float) and seconds >= 0, name
+        assert load_rows(path) == rows
+
+    def test_written_rows_load_back_and_reach_the_session_registry(
+        self, tmp_path
+    ):
+        rows = {
+            "engine.round_trip_a": {"seconds": 0.5, "rows": 10, "before_s": 2.0},
+            "engine.round_trip_b": {"seconds": 0.25, "floor_ms": 0.2},
+        }
+        path = write_bench("engine", rows, root=tmp_path, budget=0.05)
+        data = json.loads(open(path).read())
+        assert list(data) == ["machine", "budget", "benchmarks"]
+        assert set(data["machine"]) == {"python", "numpy", "platform"}
+        assert load_snapshots(tmp_path) == rows
+        session = session_registry().as_benchmarks()
+        assert {n: session[n] for n in rows} == rows
+
+    def test_a_bad_row_writes_and_records_nothing(self, tmp_path):
+        rows = {
+            "live.good_row": {"seconds": 1.0},
+            "live.bad_row": {"seconds": "x"},
+        }
+        with pytest.raises(BenchRowError, match="live.bad_row"):
+            write_bench("live", rows, root=tmp_path)
+        assert not baseline_path("live", tmp_path).exists()
+        assert "live.good_row" not in session_registry().as_benchmarks()
+
+    def test_number_rows_become_registry_rows(self, tmp_path):
+        path = tmp_path / "current.json"
+        path.write_text('{"a": 1.5, "b": {"seconds": 2, "rows": 3}}')
+        assert load_rows(path) == {
+            "a": {"seconds": 1.5}, "b": {"seconds": 2.0, "rows": 3},
+        }
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_files_raise_a_typed_error_naming_them(
+        self, tmp_path, text
+    ):
+        path = tmp_path / "current.json"
+        path.write_text(text)
+        with pytest.raises(ReproError, match="current.json"):
+            load_rows(path)
 
 
 class TestCli:
@@ -231,6 +276,33 @@ class TestCli:
         records = load_history(history)
         assert records[-1]["sha"] == "abc1234"
         assert records[-1]["timestamp"] == "2026-08-06"
+
+    @pytest.mark.parametrize("case", CLI_MALFORMED)
+    def test_compare_refuses_a_malformed_current(self, tmp_path, capsys, case):
+        current = tmp_path / "current.json"
+        current.write_text(MALFORMED[case])
+        rc = main([
+            "bench", "compare",
+            "--current", str(current),
+            "--history", self._history(tmp_path),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", CLI_MALFORMED)
+    def test_record_refuses_a_malformed_input_and_appends_nothing(
+        self, tmp_path, capsys, case
+    ):
+        history = self._history(tmp_path)
+        before = open(history).read()
+        current = tmp_path / "current.json"
+        current.write_text(MALFORMED[case])
+        rc = main([
+            "bench", "record", "--input", str(current), "--history", history,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert open(history).read() == before
 
     def test_run_times_the_micro_suite(self, capsys):
         rc = main(["bench", "run", "--rows", "2000", "--repeat", "1", "--json"])
