@@ -11,7 +11,6 @@ where each effect comes from.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Any, Dict, List
 
 from repro import storage
@@ -22,23 +21,12 @@ from repro.util.errors import LintError
 __all__ = [
     "EFFECTS_SCHEMA_VERSION",
     "build_effects_report",
-    "default_schema_path",
     "render_effects_explain",
     "validate_effects_report",
     "write_effects_report",
 ]
 
 EFFECTS_SCHEMA_VERSION = 2
-
-
-def default_schema_path() -> Path:
-    """docs/effects.schema.json, resolved relative to the repo layout."""
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        candidate = parent / "docs" / "effects.schema.json"
-        if candidate.exists():
-            return candidate
-    raise LintError("docs/effects.schema.json not found above " + str(here))
 
 
 def build_effects_report(
@@ -88,10 +76,9 @@ def build_effects_report(
 
 def validate_effects_report(data: Dict[str, Any]) -> List[str]:
     """Schema-validate a report dict; returns human-readable violations."""
-    from repro.obs.report import validate_against_schema
+    from repro.obs.report import load_schema, validate_against_schema
 
-    schema = json.loads(default_schema_path().read_text(encoding="utf-8"))
-    return validate_against_schema(data, schema)
+    return validate_against_schema(data, load_schema("effects.schema.json"))
 
 
 def write_effects_report(data: Dict[str, Any], path) -> str:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -42,7 +41,6 @@ from repro import storage
 __all__ = [
     "LineageRecorder",
     "PROVENANCE_SCHEMA_VERSION",
-    "default_provenance_schema_path",
     "fingerprint_column",
     "fingerprint_table",
     "fingerprint_value",
@@ -297,20 +295,12 @@ def provenance_to_dot(data: Dict[str, Any]) -> str:
 
 
 # -- schema validation -------------------------------------------------------
-def default_provenance_schema_path() -> str:
-    """``docs/provenance.schema.json`` at the repo root (dev layout)."""
-    return str(
-        Path(__file__).resolve().parents[3] / "docs" / "provenance.schema.json"
-    )
-
-
 def validate_provenance(
     data: Dict[str, Any], schema: Optional[Dict[str, Any]] = None
 ) -> List[str]:
     """Check a provenance dict against the checked-in schema."""
-    from repro.obs.report import validate_against_schema
+    from repro.obs.report import load_schema, validate_against_schema
 
     if schema is None:
-        with open(default_provenance_schema_path(), "r", encoding="utf-8") as fh:
-            schema = json.load(fh)
+        schema = load_schema("provenance.schema.json")
     return validate_against_schema(data, schema)

@@ -29,10 +29,8 @@ across runs *and* across batch chunkings of the same stream.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.live.window import KeyState, ScopeKey, SlidingWindowAggregator
@@ -47,7 +45,6 @@ __all__ = [
     "MetricRule",
     "VolumeRule",
     "build_alerts_doc",
-    "default_alerts_schema_path",
     "validate_alerts_doc",
 ]
 
@@ -513,11 +510,6 @@ class AlertEngine:
 
 
 # -- alerts.json -------------------------------------------------------------
-def default_alerts_schema_path() -> str:
-    """``docs/alerts.schema.json`` at the repo root (dev layout)."""
-    return str(Path(__file__).resolve().parents[4] / "docs" / "alerts.schema.json")
-
-
 def build_alerts_doc(
     engine: AlertEngine, agg: Optional[SlidingWindowAggregator] = None
 ) -> Dict[str, object]:
@@ -555,9 +547,8 @@ def validate_alerts_doc(
     doc: Dict[str, object], schema: Optional[Dict[str, object]] = None
 ) -> List[str]:
     """Check an alerts document against ``docs/alerts.schema.json``."""
-    from repro.obs.report import validate_against_schema
+    from repro.obs.report import load_schema, validate_against_schema
 
     if schema is None:
-        with open(default_alerts_schema_path(), "r", encoding="utf-8") as fh:
-            schema = json.load(fh)
+        schema = load_schema("alerts.schema.json")
     return validate_against_schema(doc, schema)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro import storage
-from repro.obs.report import validate_against_schema
+from repro.obs.report import load_schema, validate_against_schema
 from repro.obs.profile.selftime import (
     SelfTimeProfile,
     render_self_time,
@@ -27,7 +26,6 @@ from repro.obs.profile.selftime import (
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "build_profile_doc",
-    "default_schema_path",
     "render_profile",
     "validate_profile",
     "write_profile",
@@ -38,13 +36,6 @@ PROFILE_SCHEMA_VERSION = 1
 #: Entries kept in the per-stage breakdown (full detail stays in the
 #: flat ``self_time`` list).
 STAGE_TOP_N = 8
-
-
-def default_schema_path() -> str:
-    """``docs/profile.schema.json`` at the repo root (dev layout)."""
-    return str(
-        Path(__file__).resolve().parents[4] / "docs" / "profile.schema.json"
-    )
 
 
 def build_profile_doc(
@@ -106,8 +97,7 @@ def validate_profile(
 ) -> List[str]:
     """Check a profile dict against ``docs/profile.schema.json``."""
     if schema is None:
-        with open(default_schema_path(), "r", encoding="utf-8") as fh:
-            schema = json.load(fh)
+        schema = load_schema("profile.schema.json")
     return validate_against_schema(data, schema)
 
 

@@ -25,11 +25,12 @@ from typing import Any, Dict, List, Optional
 
 from repro import storage
 from repro.obs.trace import Tracer
+from repro.util.errors import ReproError
 
 __all__ = [
     "SCHEMA_VERSION",
     "build_run_report",
-    "default_schema_path",
+    "load_schema",
     "render_run_report",
     "validate_against_schema",
     "validate_run_report",
@@ -266,13 +267,6 @@ def write_run_report(data: Dict[str, Any], out_dir: str) -> Dict[str, str]:
 
 
 # -- schema validation -------------------------------------------------------
-def default_schema_path() -> str:
-    """``docs/run_report.schema.json`` at the repo root (dev layout)."""
-    return str(
-        Path(__file__).resolve().parents[3] / "docs" / "run_report.schema.json"
-    )
-
-
 _TYPE_MAP = {
     "object": dict,
     "array": list,
@@ -342,11 +336,23 @@ def validate_against_schema(data: Any, schema: Dict[str, Any]) -> List[str]:
     return errors
 
 
+def load_schema(name: str) -> Dict[str, Any]:
+    """The checked-in ``docs/<name>`` schema at the repo root (dev layout).
+
+    Raises :class:`~repro.util.errors.ReproError` naming the path when the
+    file is missing.
+    """
+    path = Path(__file__).resolve().parents[3] / "docs" / name
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ReproError(f"schema not found: {path}") from None
+
+
 def validate_run_report(
     data: Dict[str, Any], schema: Optional[Dict[str, Any]] = None
 ) -> List[str]:
     """Check a report dict against ``docs/run_report.schema.json``."""
     if schema is None:
-        with open(default_schema_path(), "r", encoding="utf-8") as fh:
-            schema = json.load(fh)
+        schema = load_schema("run_report.schema.json")
     return validate_against_schema(data, schema)

@@ -2,12 +2,16 @@
 
 import json
 
+import pytest
+
 from repro.obs.report import (
     build_run_report,
+    load_schema,
     render_run_report,
     validate_run_report,
     write_run_report,
 )
+from repro.util.errors import ReproError
 from repro.obs.trace import Tracer
 from repro.runtime.pipeline import RunReport, StageResult, StageStatus
 
@@ -191,6 +195,17 @@ class TestWrite:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("name", [
+        "run_report.schema.json", "provenance.schema.json",
+        "profile.schema.json", "alerts.schema.json", "effects.schema.json",
+    ])
+    def test_every_checked_in_schema_loads(self, name):
+        assert load_schema(name)["type"] == "object"
+
+    def test_a_missing_schema_is_a_typed_error_naming_its_path(self):
+        with pytest.raises(ReproError, match=r"docs/nope\.schema\.json"):
+            load_schema("nope.schema.json")
+
     def test_missing_required_key_flagged(self):
         data = build_run_report(make_pipeline_report())
         del data["totals"]
