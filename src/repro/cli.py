@@ -81,6 +81,7 @@ from repro.obs.lineage import write_provenance
 from repro.obs.metrics import snapshot_to_json
 from repro.obs.report import build_run_report, write_run_report
 from repro.runtime.checkpoint import config_key
+from repro.runtime.experiments import EXPERIMENT_NAMES
 from repro.runtime.run import (
     DEFAULT_CHECKPOINT_DIR,
     EXIT_ANALYSIS,
@@ -96,13 +97,6 @@ from repro.tables.pretty import format_table
 from repro.util.errors import PipelineError, ReproError
 
 __all__ = ["main"]
-
-_EXPERIMENTS = (
-    "table1", "table2", "table3", "table4", "table5", "table6",
-    "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    "churn", "events", "outages", "hopgeo",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -174,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("run", help="alias for 'report'")
 
     exp = sub.add_parser("experiment", help="run one experiment")
-    exp.add_argument("name", choices=_EXPERIMENTS)
+    exp.add_argument("name", choices=EXPERIMENT_NAMES)
 
     scen = sub.add_parser("scenarios", help="compare ablation scenarios")
     scen.add_argument(
