@@ -103,9 +103,10 @@ def welch_t_from_moments(
 
     The streaming detector (:mod:`repro.obs.live`) never holds raw
     samples — only exact counts, means, and sample variances per window —
-    so the test runs on those summaries directly.  Same statistic, df,
-    and p-value formulas as :func:`welch_t_test`; raises ``ValueError``
-    under the same undefined conditions (n < 2 or both variances zero).
+    so the test runs on those summaries directly, and
+    :func:`welch_t_test` runs on the moments of its samples.  Raises
+    ``ValueError`` where the test is undefined (n < 2 or both variances
+    zero).
     """
     if n1 < 2 or n2 < 2:
         raise ValueError(
@@ -138,13 +139,7 @@ def welch_t_test(sample1: Sequence[float], sample2: Sequence[float]) -> WelchRes
         raise ValueError(
             f"welch_t_test needs >= 2 finite values per sample; got {n1} and {n2}"
         )
-    m1, m2 = float(np.mean(x)), float(np.mean(y))
-    v1, v2 = float(np.var(x, ddof=1)), float(np.var(y, ddof=1))
-    df = welch_df(v1, n1, v2, n2)
-    se = math.sqrt(v1 / n1 + v2 / n2)
-    t = (m1 - m2) / se
-    p = 2.0 * student_t_sf(abs(t), df)
-    p = min(1.0, max(0.0, p))
-    return WelchResult(
-        statistic=t, p_value=p, df=df, n1=n1, n2=n2, mean1=m1, mean2=m2
+    return welch_t_from_moments(
+        n1, float(np.mean(x)), float(np.var(x, ddof=1)),
+        n2, float(np.mean(y)), float(np.var(y, ddof=1)),
     )
