@@ -1,7 +1,8 @@
 """The 18 named experiments, runnable individually with graceful degradation.
 
-Each experiment maps a :class:`~repro.synth.generator.Dataset` to the text
-section the paper's report prints for it; the section functions live in
+Each experiment maps a :class:`~repro.synth.generator.Dataset` to the
+:class:`~repro.analysis.report.Section` the paper's report prints for it
+(its text and its tables); the section functions live in
 :mod:`repro.analysis.report`.  :func:`experiment_stages` turns any subset
 into pipeline stages with ``allow_failure=True``: one experiment dying
 (with its traceback captured in the run report) never stops the other
@@ -14,6 +15,7 @@ from __future__ import annotations
 from types import TracebackType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.report import Section
 from repro.runtime.pipeline import PipelineRunner, RunReport, Stage
 from repro.synth.generator import Dataset
 from repro.util.errors import PipelineError
@@ -25,7 +27,7 @@ __all__ = [
     "run_experiments",
 ]
 
-ExperimentFn = Callable[[Dataset], str]
+ExperimentFn = Callable[[Dataset], Section]
 
 
 def experiment_registry() -> Dict[str, ExperimentFn]:
@@ -67,7 +69,7 @@ def experiment_stages(names: Sequence[str]) -> List[Stage]:
 
     Raises :class:`~repro.util.errors.PipelineError` for an unknown name.
     Experiments that share a section function (e.g. table3/5/6) run it
-    once: the later stages reuse its text, or re-raise the exception it
+    once: the later stages reuse its section, or re-raise the exception it
     raised (with its traceback), so every name fails with the same error.
     """
     registry = experiment_registry()
@@ -76,10 +78,10 @@ def experiment_stages(names: Sequence[str]) -> List[Stage]:
         raise PipelineError(
             f"unknown experiments {unknown}; available: {sorted(registry)}"
         )
-    outcomes: Dict[ExperimentFn, Union[str, Tuple[Exception, TracebackType]]] = {}
+    outcomes: Dict[ExperimentFn, Union[Section, Tuple[Exception, TracebackType]]] = {}
 
-    def section(fn: ExperimentFn) -> Callable[[Dict[str, Any]], str]:
-        def run(ctx: Dict[str, Any]) -> str:
+    def section(fn: ExperimentFn) -> Callable[[Dict[str, Any]], Section]:
+        def run(ctx: Dict[str, Any]) -> Section:
             if fn not in outcomes:
                 try:
                     outcomes[fn] = fn(ctx["ingest"])
@@ -103,11 +105,12 @@ def run_experiments(
     dataset: Dataset,
     names: Optional[Sequence[str]] = None,
     runner: Optional[PipelineRunner] = None,
-) -> Tuple[Dict[str, str], RunReport]:
+) -> Tuple[Dict[str, Section], RunReport]:
     """Run the named experiments (default: all 18) over *dataset*.
 
-    Returns the successful sections (name → text) and the run report in
-    which every failed experiment carries its error and traceback.
+    Returns the successful sections (name → :class:`Section`) and the run
+    report in which every failed experiment carries its error and
+    traceback.
     """
     names = list(names) if names is not None else list(EXPERIMENT_NAMES)
     stages = experiment_stages(names)

@@ -5,8 +5,9 @@ stage is checkpointed under a key derived from the GeneratorConfig and the
 :class:`Dataset` fields, so a run killed after generation can resume
 without regenerating, and never loads a dataset of another shape; every
 experiment runs with graceful degradation and the whole thing ends in a
-:class:`ReportRun` whose ``render()`` is the CLI's output and whose
-``exit_code`` distinguishes generation from analysis failures.
+:class:`ReportRun` whose ``render()`` is the CLI's output, whose ``tables``
+are the report's tables by ``results/`` stem, and whose ``exit_code``
+distinguishes generation from analysis failures.
 :func:`full_report` renders the same experiments for a dataset in hand.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.analysis.report import Section
 from repro.faults.injector import FaultInjector, InjectionSummary
 from repro.faults.profiles import FaultProfile
 from repro.runtime.checkpoint import CheckpointStore, config_key
@@ -24,6 +26,7 @@ from repro.runtime.experiments import EXPERIMENT_NAMES, experiment_stages, run_e
 from repro.runtime.ingest import sanitize_dataset
 from repro.runtime.pipeline import PipelineRunner, RunReport, Stage, StageStatus
 from repro.synth.generator import Dataset, DatasetGenerator, GeneratorConfig
+from repro.tables.table import Table
 from repro.tables.validate import GateResult
 
 __all__ = [
@@ -49,13 +52,41 @@ GENERATION_STAGES = ("generate", "inject-faults", "ingest")
 
 @dataclass
 class ReportRun:
-    """Everything one orchestrated run produced."""
+    """Everything one orchestrated run produced.
+
+    ``sections`` maps each successful experiment to its text; ``tables``
+    maps each ``results/`` file stem to the table its section printed.
+    """
 
     dataset: Optional[Dataset]
     sections: Dict[str, str]
     report: RunReport
     gates: Dict[str, GateResult] = field(default_factory=dict)
     injection: Optional[InjectionSummary] = None
+    tables: Dict[str, Table] = field(default_factory=dict)
+
+    @classmethod
+    def from_sections(
+        cls,
+        dataset: Optional[Dataset],
+        sections: Dict[str, Section],
+        report: RunReport,
+        **kwargs: Any,
+    ) -> "ReportRun":
+        """The run of these sections (name → :class:`Section`).
+
+        Splits them into ``sections`` (name → text) and ``tables`` (stem →
+        table, in report order); *kwargs* fill the other fields.
+        """
+        return cls(
+            dataset=dataset,
+            sections={name: s.text for name, s in sections.items()},
+            report=report,
+            tables={
+                stem: t for s in sections.values() for stem, t in s.tables.items()
+            },
+            **kwargs,
+        )
 
     @property
     def exit_code(self) -> int:
@@ -194,11 +225,10 @@ def run_pipeline(
                 injection=injections[0] if injections else None,
             )
         raise
-    sections = {n: context[n] for n in experiments if n in context}
-    return ReportRun(
-        dataset=context.get("ingest"),
-        sections=sections,
-        report=report,
+    return ReportRun.from_sections(
+        context.get("ingest"),
+        {n: context[n] for n in experiments if n in context},
+        report,
         gates=gates,
         injection=injections[0] if injections else None,
     )
@@ -210,6 +240,6 @@ def full_report(dataset: Dataset) -> str:
     Runs the 18 experiments and renders them as ``repro report`` does,
     without the run report; a failed experiment prints as a FAILED block.
     """
-    sections, report = run_experiments(dataset)
-    run = ReportRun(dataset=dataset, sections=sections, report=report)
-    return run.render(include_report=False)
+    return ReportRun.from_sections(dataset, *run_experiments(dataset)).render(
+        include_report=False
+    )

@@ -75,7 +75,7 @@ class TestEveryExperimentToleratesDirt:
         except ReproError:
             pass  # a typed refusal is acceptable; a crash is not
         else:
-            assert isinstance(section, str) and section
+            assert isinstance(section.text, str) and section.text
 
     def test_results_on_dirty_equal_results_on_cleaned(self, dirty_dataset):
         # Guarded analyses must act as if the dirt had been pre-filtered.
