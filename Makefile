@@ -8,7 +8,7 @@ PROFILE_SMOKE_DIR := results/profile-smoke
 LIVE_SMOKE_DIR := results/live-smoke
 
 .PHONY: test unit obs-smoke profile-smoke live-smoke bench-compare \
-	bench-record lint lint-json lint-fast flow baseline bench \
+	bench-record lint lint-json lint-fast flow baseline bench results \
 	bench-engine bench-obs bench-storage bench-profile bench-live chaos \
 	perfbench-selftest
 
@@ -108,6 +108,15 @@ baseline:
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -q benchmarks
+
+# The paper's tables and figures, the extensions and the ablations: the 16
+# modules that write the 48 paper, extension and ablation files under
+# results/ (REPRO_BENCH_SCALE, default 0.25).  Leaves out the perf modules,
+# which rewrite BENCH_*.json, and test_robustness, which runs tier-1.
+results:
+	PYTHONPATH=$(PYTHONPATH) python -m pytest -q benchmarks/test_fig*.py \
+		benchmarks/test_table*.py benchmarks/test_ext_*.py \
+		benchmarks/test_ablations.py
 
 # Engine perf baseline: vectorized kernels vs the legacy row loops;
 # records before/after timings in BENCH_engine.json.

@@ -3,7 +3,10 @@
 import os
 from pathlib import Path
 
-__all__ = ["bench_scale", "emit"]
+from repro import storage
+from repro.tables.io import write_csv
+
+__all__ = ["bench_scale", "emit", "write_tables"]
 
 
 def bench_scale() -> float:
@@ -12,7 +15,21 @@ def bench_scale() -> float:
 
 
 def emit(results_dir: Path, name: str, text: str) -> None:
-    """Print a paper-vs-measured block and persist it under results/."""
+    """Print a paper-vs-measured block and commit it under results/.
+
+    The text goes through the storage layer as the CSVs beside it do: an
+    atomic rename and a checksum sidecar, so a killed run never leaves a
+    torn file.
+    """
     banner = f"\n===== {name} =====\n{text}\n"
     print(banner)
-    (results_dir / f"{name}.txt").write_text(banner, encoding="utf-8")
+    storage.commit_text(
+        str(results_dir / f"{name}.txt"), banner,
+        label=f"txt.{name}.txt", sidecar=True, durable=False,
+    )
+
+
+def write_tables(results_dir: Path, run, *stems: str) -> None:
+    """Write the report's tables under results/ as ``<stem>.csv``."""
+    for stem in stems:
+        write_csv(run.tables[stem], str(results_dir / f"{stem}.csv"))

@@ -1,9 +1,11 @@
-"""Benchmark fixtures: one shared dataset, a results directory, comparisons.
+"""Benchmark fixtures: one shared dataset, its report, a results directory.
 
 Scale defaults to 25% of the paper's test volume (override with
 ``REPRO_BENCH_SCALE=1.0`` for a full-scale run).  Every bench writes its
 reproduced table/series as CSV under ``results/`` and prints a
-paper-vs-measured comparison.
+paper-vs-measured comparison.  The paper's tables and figures come from
+the report itself (``bench_report``): a bench writes the tables and the
+text its section returns, and adds only its comparison lines.
 
 Every benchmark test is also timed into the process-wide benchmark
 registry (``repro.obs.bench``) under ``pytest.<module>.<test>`` — so all
@@ -27,6 +29,8 @@ from repro.obs.bench import (
     session_registry,
 )
 from repro.obs.clock import monotonic
+from repro.runtime.experiments import run_experiments
+from repro.runtime.run import ReportRun
 from repro.synth import DatasetGenerator, GeneratorConfig
 
 
@@ -44,10 +48,15 @@ def results_dir():
 
 
 @pytest.fixture(scope="session")
-def ndt_with_asn(bench_dataset):
-    from repro.analysis.common import client_as_column
+def bench_report(bench_dataset):
+    """All 18 experiments over the bench dataset, run once.
 
-    return client_as_column(bench_dataset.ndt, bench_dataset.topology.iplayer)
+    ``sections`` maps each experiment to its text and ``tables`` each
+    ``results/`` file stem to its table.
+    """
+    run = ReportRun.from_sections(bench_dataset, *run_experiments(bench_dataset))
+    assert run.exit_code == 0, run.render()
+    return run
 
 
 @pytest.fixture(autouse=True)

@@ -1,36 +1,18 @@
 """Extension benches: control-plane churn and bootstrap uncertainty."""
 
 import numpy as np
-from bench_common import emit
+from bench_common import emit, write_tables
 
-from repro.analysis.routing_churn import churn_summary, daily_route_churn
+from repro.analysis.routing_churn import churn_summary
 from repro.analysis.uncertainty import agreement_rate, city_bootstrap_table
 from repro.tables import format_table
 from repro.tables.io import write_csv
-from repro.viz import line_chart
 
 
-def test_ext_route_churn(bench_dataset, benchmark, results_dir):
-    churn = benchmark.pedantic(
-        lambda: daily_route_churn(bench_dataset), rounds=1, iterations=1
-    )
-    write_csv(churn, str(results_dir / "ext_route_churn.csv"))
-    summary = churn_summary(churn, bench_dataset)
-    marker = churn["date"].to_list().index("2022-02-24")
-    emit(
-        results_dir,
-        "ext_route_churn",
-        line_chart(
-            [float(v) for v in churn["changes"].to_list()],
-            title="daily route changes across all (eyeball, site) pairs "
-                  "(':' marks Feb 24)",
-            marker_index=marker,
-            y_fmt=".0f",
-        )
-        + f"\n\nmean daily changes: prewar {summary['prewar_daily_changes']:.1f}, "
-        f"wartime {summary['wartime_daily_changes']:.1f} "
-        f"(x{summary['ratio']:.1f})",
-    )
+def test_ext_route_churn(bench_dataset, bench_report, results_dir):
+    write_tables(results_dir, bench_report, "ext_route_churn")
+    summary = churn_summary(bench_report.tables["ext_route_churn"], bench_dataset)
+    emit(results_dir, "ext_route_churn", bench_report.sections["churn"])
     # The collector view must agree with the traceroute view: wartime
     # routing churn far exceeds the peacetime reconvergence level.
     assert summary["ratio"] > 2.0

@@ -7,26 +7,24 @@
 * quantified Figure-9 correlation (Appendix D's "mild correlation").
 """
 
-from bench_common import emit
+from bench_common import emit, write_tables
 
-from repro.analysis.events_impact import event_impact_table
 from repro.analysis.hopgeo import gateway_city_agreement
 from repro.analysis.outages import detect_outage_days
 from repro.analysis.paths import path_count_table, path_performance_correlation
-from repro.conflict import default_timeline
-from repro.tables import col, format_table
+from repro.tables import col
 from repro.tables.io import write_csv
 from repro.traceroute.alias import resolve_aliases, router_level_paths
 
 
-def test_ext_router_level_table2(bench_dataset, benchmark, results_dir):
+def test_ext_router_level_table2(bench_dataset, bench_report, benchmark, results_dir):
     def run():
         router_traces = router_level_paths(bench_dataset.traces)
         return path_count_table(router_traces)
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     write_csv(table, str(results_dir / "ext_router_table2.csv"))
-    ip_table = path_count_table(bench_dataset.traces)
+    ip_table = bench_report.tables["table2_paths"]
     amap = resolve_aliases(bench_dataset.traces)
     rows = {r["period"]: r for r in table.iter_rows()}
     ip_rows = {r["period"]: r for r in ip_table.iter_rows()}
@@ -49,27 +47,11 @@ def test_ext_router_level_table2(bench_dataset, benchmark, results_dir):
     assert rows["wartime"]["paths_per_conn"] > rows["prewar"]["paths_per_conn"]
 
 
-def test_ext_event_study(bench_dataset, benchmark, results_dir):
-    table = benchmark.pedantic(
-        lambda: event_impact_table(
-            bench_dataset.ndt, default_timeline(), bench_dataset.topology.gazetteer
-        ),
-        rounds=2,
-        iterations=1,
-    )
-    write_csv(table, str(results_dir / "ext_event_study.csv"))
+def test_ext_event_study(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "ext_event_study")
+    table = bench_report.tables["ext_event_study"]
     significant = table.filter(col("significant") == True)  # noqa: E712
-    emit(
-        results_dir,
-        "ext_event_study",
-        format_table(
-            table,
-            columns=["date", "event", "metric", "mean_before", "mean_after",
-                     "p_value", "significant"],
-            float_fmts={"p_value": ".1e"},
-            float_fmt=".3f",
-        ),
-    )
+    emit(results_dir, "ext_event_study", bench_report.sections["events"])
     # The invasion must register as a significant national RTT/loss change.
     invasion = {
         r["metric"]: r

@@ -1,40 +1,26 @@
 """Bench F2 — Figure 2: daily national metric series, 2022 vs 2021."""
 
 import numpy as np
-from bench_common import emit
+from bench_common import emit, write_tables
 from paper_expectations import FIG2_FACTORS
 
-from repro.analysis.national import invasion_day_ordinal, national_daily
-from repro.tables.io import write_csv
-from repro.viz import line_chart
+from repro.analysis.national import invasion_day_ordinal
 
 
-def test_fig2_national(bench_dataset, benchmark, results_dir):
-    daily_2022 = benchmark.pedantic(
-        lambda: national_daily(bench_dataset.ndt, 2022), rounds=3, iterations=1
-    )
-    daily_2021 = national_daily(bench_dataset.ndt, 2021)
-    write_csv(daily_2022, str(results_dir / "fig2_national_2022.csv"))
-    write_csv(daily_2021, str(results_dir / "fig2_national_2021.csv"))
+def test_fig2_national(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "fig2_national_2022", "fig2_national_2021")
+    daily_2022 = bench_report.tables["fig2_national_2022"]
+    daily_2021 = bench_report.tables["fig2_national_2021"]
 
-    marker = daily_2022["day"].to_list().index(invasion_day_ordinal())
     days = np.asarray(daily_2022["day"].to_list())
     pre_mask = days < invasion_day_ordinal()
-
-    lines = []
     measured_factors = {}
-    for metric, fmt in (("tests", ".0f"), ("min_rtt_ms", ".1f"),
-                        ("tput_mbps", ".1f"), ("loss_rate", ".3f")):
+    for metric in FIG2_FACTORS:
         series = np.asarray(daily_2022[metric].to_list())
-        lines.append(
-            line_chart(series.tolist(), title=f"2022 daily {metric}",
-                       marker_index=marker, y_fmt=fmt)
+        measured_factors[metric] = float(
+            np.nanmean(series[~pre_mask]) / np.nanmean(series[pre_mask])
         )
-        if metric != "tests":
-            measured_factors[metric] = float(
-                np.nanmean(series[~pre_mask]) / np.nanmean(series[pre_mask])
-            )
-    lines.append("\nwartime/prewar factor, paper vs measured:")
+    lines = [bench_report.sections["fig2"], "", "wartime/prewar factor, paper vs measured:"]
     for metric, paper_factor in FIG2_FACTORS.items():
         lines.append(
             f"  {metric:11s} paper x{paper_factor:.2f}  measured "

@@ -1,38 +1,27 @@
 """Bench F3 — Figure 3: per-oblast percentage changes vs conflict zones."""
 
 import numpy as np
-from bench_common import emit
+from bench_common import emit, write_tables
 
-from repro.analysis.regional import oblast_changes, zone_average_changes
-from repro.tables import format_table
-from repro.tables.io import write_csv
-from repro.viz import bar_chart
+from repro.analysis.regional import zone_average_changes
 
 
-def test_fig3_regional(bench_dataset, benchmark, results_dir):
-    changes = benchmark.pedantic(
-        lambda: oblast_changes(bench_dataset.ndt, bench_dataset.topology.gazetteer),
-        rounds=2,
-        iterations=1,
-    )
-    write_csv(changes, str(results_dir / "fig3_regional.csv"))
+def test_fig3_regional(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "fig3_regional")
+    changes = bench_report.tables["fig3_regional"]
     zones = zone_average_changes(changes)
-
-    ranked = changes.sort_by("d_loss_pct", descending=True)
-    lines = [
-        bar_chart(
-            [f"{r['oblast']} [{r['zone']}]" for r in ranked.iter_rows()],
-            [r["d_loss_pct"] for r in ranked.iter_rows()],
-            title="loss-rate change per oblast (%)",
+    emit(
+        results_dir,
+        "fig3_regional",
+        "\n".join(
+            [
+                bench_report.sections["fig3"],
+                "",
+                "paper's reading: oblasts in the militarily active North and "
+                "Southeast correlate with worsening metrics; the West is spared.",
+            ]
         ),
-        "",
-        format_table(zones.sort_by("d_loss_pct", descending=True),
-                     title="zone averages", float_fmt="+.1f"),
-        "",
-        "paper's reading: oblasts in the militarily active North and "
-        "Southeast correlate with worsening metrics; the West is spared.",
-    ]
-    emit(results_dir, "fig3_regional", "\n".join(lines))
+    )
 
     by_zone = {r["zone"]: r for r in zones.iter_rows()}
     active_loss = np.mean(

@@ -1,36 +1,28 @@
 """Bench F4 — Figure 4: daily test counts in Kharkiv and Mariupol."""
 
 import numpy as np
-from bench_common import emit
+from bench_common import emit, write_tables
 from paper_expectations import FIG4_COUNT_RATIOS
 
-from repro.analysis.city import siege_city_counts
 from repro.analysis.national import invasion_day_ordinal
-from repro.tables.io import write_csv
 from repro.util import Day
-from repro.viz import line_chart
 
 
-def test_fig4_siege_counts(bench_dataset, benchmark, results_dir):
-    counts = benchmark.pedantic(
-        lambda: siege_city_counts(bench_dataset.ndt), rounds=3, iterations=1
-    )
-    write_csv(counts, str(results_dir / "fig4_siege_counts.csv"))
+def test_fig4_siege_counts(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "fig4_siege_counts")
+    counts = bench_report.tables["fig4_siege_counts"]
 
-    marker = counts["day"].to_list().index(invasion_day_ordinal())
     days = np.asarray(counts["day"].to_list())
     pre = days < invasion_day_ordinal()
-
-    lines = []
     measured = {}
-    for city in ("Kharkiv", "Mariupol"):
+    for city in FIG4_COUNT_RATIOS:
         series = np.asarray(counts[city].to_list())
-        lines.append(
-            line_chart(series.tolist(), title=f"{city} daily tests",
-                       marker_index=marker, y_fmt=".0f")
-        )
         measured[city] = float(series[~pre].sum() / max(series[pre].sum(), 1))
-    lines.append("\nwartime/prewar test-count ratio, paper vs measured:")
+    lines = [
+        bench_report.sections["fig4"],
+        "",
+        "wartime/prewar test-count ratio, paper vs measured:",
+    ]
     for city, paper_ratio in FIG4_COUNT_RATIOS.items():
         lines.append(
             f"  {city:9s} paper {paper_ratio:.3f}  measured {measured[city]:.3f}"

@@ -1,39 +1,26 @@
 """Bench F5 — Figure 5: border-AS x Ukrainian-AS connectivity changes."""
 
-from bench_common import emit
+from bench_common import emit, write_tables
 
-from repro.analysis.border import (
-    border_crossing_counts,
-    border_shift_matrix,
-    border_totals,
-)
-from repro.tables import format_table
-from repro.tables.io import write_csv
+from repro.analysis.border import border_totals
 from repro.topology.builder import COGENT, DEGRADING_BORDER_ASN, HURRICANE_ELECTRIC
-from repro.viz import heatmap
 
 
-def test_fig5_border(bench_dataset, benchmark, results_dir):
-    registry = bench_dataset.topology.registry
-    crossings = benchmark.pedantic(
-        lambda: border_crossing_counts(bench_dataset.traces, registry),
-        rounds=2,
-        iterations=1,
+def test_fig5_border(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "fig5_border")
+    totals = border_totals(bench_report.tables["fig5_border"])
+    emit(
+        results_dir,
+        "fig5_border",
+        "\n".join(
+            [
+                bench_report.sections["fig5"],
+                "",
+                "paper's reading: more tests utilize Hurricane Electric and fewer "
+                "utilize Cogent Networks after the invasion.",
+            ]
+        ),
     )
-    write_csv(crossings, str(results_dir / "fig5_border.csv"))
-
-    rows, cols, delta, absent = border_shift_matrix(crossings)
-    totals = border_totals(crossings)
-    lines = [
-        heatmap(delta, rows, cols, absent=absent,
-                title="change in tests per (border AS, Ukrainian AS) pair"),
-        "",
-        format_table(totals, title="net change per border AS"),
-        "",
-        "paper's reading: more tests utilize Hurricane Electric and fewer "
-        "utilize Cogent Networks after the invasion.",
-    ]
-    emit(results_dir, "fig5_border", "\n".join(lines))
 
     by_border = {r["border_asn"]: r for r in totals.iter_rows()}
     he = by_border[HURRICANE_ELECTRIC]

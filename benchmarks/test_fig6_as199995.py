@@ -1,13 +1,10 @@
 """Bench F6 — Figure 6: AS199995's inbound mix shifts to Hurricane Electric."""
 
 import numpy as np
-from bench_common import emit
+from bench_common import emit, write_tables
 
-from repro.analysis.casestudy import inbound_weekly
-from repro.tables import col, format_table
-from repro.tables.io import write_csv
+from repro.tables import col
 from repro.topology.builder import DEGRADING_BORDER_ASN, HURRICANE_ELECTRIC
-from repro.viz import line_chart
 
 
 def _weekly_series(weekly, asn, column):
@@ -15,32 +12,14 @@ def _weekly_series(weekly, asn, column):
     return {r["week"]: r[column] for r in rows.iter_rows()}
 
 
-def test_fig6_as199995(bench_dataset, benchmark, results_dir):
-    registry = bench_dataset.topology.registry
-    weekly = benchmark.pedantic(
-        lambda: inbound_weekly(bench_dataset.ndt, bench_dataset.traces, registry),
-        rounds=2,
-        iterations=1,
-    )
-    write_csv(weekly, str(results_dir / "fig6_as199995.csv"))
+def test_fig6_as199995(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "fig6_as199995")
+    weekly = bench_report.tables["fig6_as199995"]
+    emit(results_dir, "fig6_as199995", bench_report.sections["fig6"])
 
     he_share = _weekly_series(weekly, HURRICANE_ELECTRIC, "share")
     bad_share = _weekly_series(weekly, DEGRADING_BORDER_ASN, "share")
     bad_loss = _weekly_series(weekly, DEGRADING_BORDER_ASN, "median_loss")
-    bad_rtt = _weekly_series(weekly, DEGRADING_BORDER_ASN, "median_rtt_ms")
-
-    lines = [
-        format_table(weekly, float_fmts={"share": ".2f", "median_loss": ".4f"},
-                     float_fmt=".2f", max_rows=40),
-        "",
-        line_chart(list(he_share.values()), y_fmt=".2f", height=8,
-                   title="(a-like) weekly share via AS6939 Hurricane Electric"),
-        line_chart(list(bad_loss.values()), y_fmt=".3f", height=8,
-                   title="(b) weekly median loss of tests via AS6663"),
-        line_chart(list(bad_rtt.values()), y_fmt=".1f", height=8,
-                   title="(c) weekly median RTT of tests via AS6663"),
-    ]
-    emit(results_dir, "fig6_as199995", "\n".join(lines))
 
     def mean_over(series, lo, hi):
         values = [v for w, v in series.items() if lo <= w < hi]

@@ -1,34 +1,34 @@
 """Bench F7/F8 — Figures 7-8: metric distributions, prewar and wartime."""
 
-from bench_common import emit
+from bench_common import emit, write_tables
 
 from repro.analysis.distros import metric_histogram, skewness
 from repro.tables.io import write_csv
-from repro.viz import bar_chart
+
+CELLS = [
+    (metric, period)
+    for period in ("prewar", "wartime")
+    for metric in ("min_rtt_ms", "tput_mbps", "loss_rate")
+]
 
 
-def test_fig7_8_distributions(bench_dataset, benchmark, results_dir):
+def test_fig7_8_distributions(bench_dataset, bench_report, benchmark, results_dir):
     hist = benchmark.pedantic(
         lambda: metric_histogram(bench_dataset.ndt, "tput_mbps", "prewar"),
         rounds=3,
         iterations=1,
     )
     write_csv(hist, str(results_dir / "fig7_tput_prewar_hist.csv"))
+    write_tables(
+        results_dir, bench_report, *(f"fig78_{m}_{p}_hist" for m, p in CELLS)
+    )
 
-    lines = []
-    skews = {}
-    for period in ("prewar", "wartime"):
-        for metric in ("min_rtt_ms", "tput_mbps", "loss_rate"):
-            h = metric_histogram(bench_dataset.ndt, metric, period, bins=12)
-            write_csv(h, str(results_dir / f"fig78_{metric}_{period}_hist.csv"))
-            labels = [f"{r['bin_low']:.2f}-{r['bin_high']:.2f}" for r in h.iter_rows()]
-            lines.append(
-                bar_chart(labels, [r["fraction"] * 100 for r in h.iter_rows()],
-                          title=f"{metric}, {period} (% of tests)",
-                          value_fmt=".1f")
-            )
-            skews[(metric, period)] = skewness(bench_dataset.ndt, metric, period)
-    lines.append("\nskewness (paper: RTT near-normal-with-spike, tput/loss skewed):")
+    skews = {(m, p): skewness(bench_dataset.ndt, m, p) for m, p in CELLS}
+    lines = [
+        bench_report.sections["fig7"],
+        "",
+        "skewness (paper: RTT near-normal-with-spike, tput/loss skewed):",
+    ]
     for key, value in skews.items():
         lines.append(f"  {key[0]:11s} {key[1]:8s} {value:+.2f}")
     emit(results_dir, "fig7_8_distributions", "\n".join(lines))

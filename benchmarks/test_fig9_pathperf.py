@@ -1,34 +1,25 @@
 """Bench F9 — Figure 9: performance change vs change in paths used."""
 
 import numpy as np
-from bench_common import emit
-
-from repro.analysis.paths import path_performance
-from repro.tables import format_table
-from repro.tables.io import write_csv
+from bench_common import emit, write_tables
 
 
-def test_fig9_pathperf(bench_dataset, benchmark, results_dir):
-    table = benchmark.pedantic(
-        lambda: path_performance(bench_dataset.ndt, bench_dataset.traces,
-                                 min_tests=5),
-        rounds=2,
-        iterations=1,
-    )
-    write_csv(table, str(results_dir / "fig9_pathperf.csv"))
-
-    lines = [
-        format_table(
-            table,
-            float_fmts={"p_tput": ".1e", "p_loss": ".1e", "d_loss": ".4f"},
-            float_fmt=".2f",
+def test_fig9_pathperf(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "fig9_pathperf")
+    table = bench_report.tables["fig9_pathperf"]
+    emit(
+        results_dir,
+        "fig9_pathperf",
+        "\n".join(
+            [
+                bench_report.sections["fig9"],
+                "",
+                "paper's reading: connections that used more new paths during the "
+                "war saw throughput decreases and loss increases (a mild, not "
+                "perfectly monotone correlation — Appendix D).",
+            ]
         ),
-        "",
-        "paper's reading: connections that used more new paths during the "
-        "war saw throughput decreases and loss increases (a mild, not "
-        "perfectly monotone correlation — Appendix D).",
-    ]
-    emit(results_dir, "fig9_pathperf", "\n".join(lines))
+    )
 
     rows = table.to_dicts()
     assert len(rows) >= 2

@@ -1,31 +1,14 @@
 """Bench T1 — Table 1: city-level prewar/wartime comparison (Welch's t-test)."""
 
-from bench_common import emit
+from bench_common import emit, write_tables
 from paper_expectations import TABLE1
 
-from repro.analysis.city import city_welch_table
-from repro.tables import format_table
-from repro.tables.io import write_csv
 
+def test_table1_city(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "table1_city")
+    table = bench_report.tables["table1_city"]
 
-def test_table1_city(bench_dataset, benchmark, results_dir):
-    table = benchmark.pedantic(
-        lambda: city_welch_table(bench_dataset.ndt), rounds=3, iterations=1
-    )
-    write_csv(table, str(results_dir / "table1_city.csv"))
-
-    lines = [
-        format_table(
-            table,
-            float_fmts={
-                "min_rtt_ms_p": ".1e", "tput_mbps_p": ".1e", "loss_rate_p": ".1e",
-                "loss_rate_prewar": ".4f", "loss_rate_wartime": ".4f",
-            },
-            float_fmt=".2f",
-        ),
-        "",
-        "paper vs measured (prewar -> wartime):",
-    ]
+    lines = [bench_report.sections["table1"], "", "paper vs measured (prewar -> wartime):"]
     rows = {r["city"]: r for r in table.iter_rows()}
     for (city, metric), (paper_pre, paper_war, paper_sig) in TABLE1.items():
         r = rows[city]

@@ -1,21 +1,15 @@
 """Bench T2 — Table 2: paths and tests per connection across the 4 periods."""
 
-from bench_common import emit
+from bench_common import emit, write_tables
 from paper_expectations import TABLE2
 
-from repro.analysis.paths import path_count_table
-from repro.tables import format_table
-from repro.tables.io import write_csv
 
-
-def test_table2_paths(bench_dataset, benchmark, results_dir):
-    table = benchmark.pedantic(
-        lambda: path_count_table(bench_dataset.traces), rounds=2, iterations=1
-    )
-    write_csv(table, str(results_dir / "table2_paths.csv"))
+def test_table2_paths(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "table2_paths")
+    table = bench_report.tables["table2_paths"]
 
     rows = {r["period"]: r for r in table.iter_rows()}
-    lines = [format_table(table, float_fmt=".3f"), "", "paper vs measured:"]
+    lines = [bench_report.sections["table2"], "", "paper vs measured:"]
     for period, (paper_paths, paper_tests) in TABLE2.items():
         r = rows[period]
         lines.append(

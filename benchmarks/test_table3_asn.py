@@ -1,31 +1,16 @@
 """Bench T3 — Table 3: top-10 AS metric changes vs baseline fluctuations."""
 
-from bench_common import emit
+from bench_common import emit, write_tables
 from paper_expectations import TABLE3, TABLE3_BASELINE
 
-from repro.analysis.asn_metrics import (
-    PAPER_TOP10_ASNS,
-    as_change_table,
-    baseline_fluctuations,
-)
-from repro.tables import format_table
-from repro.tables.io import write_csv
 
-
-def test_table3_asn(bench_dataset, ndt_with_asn, benchmark, results_dir):
+def test_table3_asn(bench_dataset, bench_report, results_dir):
     registry = bench_dataset.topology.registry
-
-    def run():
-        baseline = baseline_fluctuations(ndt_with_asn)
-        return baseline, as_change_table(
-            ndt_with_asn, PAPER_TOP10_ASNS, registry, baseline
-        )
-
-    baseline, table = benchmark.pedantic(run, rounds=2, iterations=1)
-    write_csv(table, str(results_dir / "table3_asn.csv"))
+    write_tables(results_dir, bench_report, "table3_asn")
+    table = bench_report.tables["table3_asn"]
 
     rows = {r["asn"]: r for r in table.iter_rows()}
-    lines = [format_table(table, float_fmt="+.2f"), "", "paper vs measured:"]
+    lines = [bench_report.sections["table3"], "", "paper vs measured:"]
     for asn, (p_count, p_tput, p_rtt, p_loss) in TABLE3.items():
         if asn not in rows:
             lines.append(f"  AS{asn}: too few tests in this run")
@@ -41,9 +26,7 @@ def test_table3_asn(bench_dataset, ndt_with_asn, benchmark, results_dir):
         f"  baseline fluct. paper count {TABLE3_BASELINE['d_count_pct']:+.1f}% "
         f"tput {TABLE3_BASELINE['d_tput_pct']:+.1f}% rtt "
         f"{TABLE3_BASELINE['d_rtt_pct']:+.1f}% loss x{TABLE3_BASELINE['loss_ratio']:.2f}"
-        f"   measured count {baseline.d_count_pct:+.1f}% tput "
-        f"{baseline.d_tput_pct:+.1f}% rtt {baseline.d_rtt_pct:+.1f}% "
-        f"loss x{baseline.loss_ratio:.2f}"
+        "   measured: the 'baseline fluctuations' line above"
     )
     emit(results_dir, "table3_asn", "\n".join(lines))
 

@@ -1,23 +1,16 @@
 """Bench T4 — Table 4: raw oblast-level metrics."""
 
-from bench_common import emit
+from bench_common import emit, write_tables
 from paper_expectations import TABLE4_SAMPLE
 
-from repro.analysis.regional import oblast_summary
-from repro.tables import format_table
-from repro.tables.io import write_csv
 
-
-def test_table4_oblast(bench_dataset, benchmark, results_dir):
-    table = benchmark.pedantic(
-        lambda: oblast_summary(bench_dataset.ndt), rounds=2, iterations=1
-    )
-    write_csv(table, str(results_dir / "table4_oblast.csv"))
+def test_table4_oblast(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "table4_oblast")
+    table = bench_report.tables["table4_oblast"]
 
     rows = {(r["oblast"], r["period"]): r for r in table.iter_rows()}
     lines = [
-        format_table(table, float_fmts={"loss_rate": ".4f"}, float_fmt=".2f",
-                     max_rows=20),
+        bench_report.sections["table4"],
         "",
         "paper vs measured (spot-checked oblasts):",
     ]

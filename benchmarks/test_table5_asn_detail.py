@@ -1,31 +1,16 @@
 """Bench T5 — Table 5: AS-level mean/median/std detail."""
 
-from bench_common import emit
+from bench_common import emit, write_tables
 from paper_expectations import TABLE5_SAMPLE
 
-from repro.analysis.asn_metrics import PAPER_TOP10_ASNS, as_detail_table
-from repro.tables import format_table
-from repro.tables.io import write_csv
 
-
-def test_table5_asn_detail(bench_dataset, ndt_with_asn, benchmark, results_dir):
-    table = benchmark.pedantic(
-        lambda: as_detail_table(ndt_with_asn, PAPER_TOP10_ASNS),
-        rounds=2,
-        iterations=1,
-    )
-    write_csv(table, str(results_dir / "table5_asn_detail.csv"))
+def test_table5_asn_detail(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "table5_asn_detail")
+    table = bench_report.tables["table5_asn_detail"]
 
     rows = {(r["asn"], r["period"]): r for r in table.iter_rows()}
     lines = [
-        format_table(
-            table,
-            float_fmts={
-                "loss_rate_mean": ".4f", "loss_rate_median": ".4f",
-                "loss_rate_std": ".4f",
-            },
-            float_fmt=".2f",
-        ),
+        bench_report.sections["table5"],
         "",
         "paper vs measured (means; counts scale with the bench volume):",
     ]

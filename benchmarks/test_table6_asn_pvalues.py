@@ -1,31 +1,17 @@
 """Bench T6 — Table 6: AS-level Welch p-values."""
 
 import numpy as np
-from bench_common import bench_scale, emit
+from bench_common import bench_scale, emit, write_tables
 from paper_expectations import TABLE6_SIGNIFICANT
 
-from repro.analysis.asn_metrics import PAPER_TOP10_ASNS, as_pvalue_table
-from repro.tables import format_table
-from repro.tables.io import write_csv
 
-
-def test_table6_asn_pvalues(bench_dataset, ndt_with_asn, benchmark, results_dir):
-    registry = bench_dataset.topology.registry
-    table = benchmark.pedantic(
-        lambda: as_pvalue_table(ndt_with_asn, PAPER_TOP10_ASNS, registry),
-        rounds=2,
-        iterations=1,
-    )
-    write_csv(table, str(results_dir / "table6_asn_pvalues.csv"))
+def test_table6_asn_pvalues(bench_report, results_dir):
+    write_tables(results_dir, bench_report, "table6_asn_pvalues")
+    table = bench_report.tables["table6_asn_pvalues"]
 
     rows = {r["asn"]: r for r in table.iter_rows()}
     lines = [
-        format_table(
-            table,
-            float_fmts={
-                "p_tput_mbps": ".3e", "p_min_rtt_ms": ".3e", "p_loss_rate": ".3e",
-            },
-        ),
+        bench_report.sections["table6"],
         "",
         "significance agreement with the paper (p < 0.05):",
     ]
