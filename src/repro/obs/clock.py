@@ -14,14 +14,9 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["monotonic", "wall_time"]
+__all__ = ["monotonic"]
 
 
 def monotonic() -> float:
     """Seconds on a monotonic high-resolution clock (for durations)."""
     return time.perf_counter()
-
-
-def wall_time() -> float:
-    """Seconds since the epoch (for timestamps in exported artifacts)."""
-    return time.time()

@@ -48,7 +48,6 @@ __all__ = [
     "SelfTimeEntry",
     "SelfTimeProfile",
     "StackSampler",
-    "active_profile",
     "build_from_trace_file",
     "build_profile_doc",
     "env_profile_enabled",
@@ -188,7 +187,3 @@ def stop_profiling() -> Optional[ProfileSession]:
     if session is not None:
         session.stop()
     return session
-
-
-def active_profile() -> Optional[ProfileSession]:
-    return _active

@@ -42,7 +42,6 @@ __all__ = [
     "group_sorter",
     "segment_reduce",
     "group_count",
-    "group_first_index",
     "group_min",
     "group_max",
     "GroupMoments",
@@ -223,11 +222,6 @@ def segment_reduce(
 
 def group_count(fact: Factorized) -> np.ndarray:
     return np.bincount(fact.gids, minlength=fact.n_groups).astype(np.int64)
-
-
-def group_first_index(fact: Factorized) -> np.ndarray:
-    """Row index of each group's first member (for ``first`` aggregation)."""
-    return fact.first_idx
 
 
 def group_min(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -83,10 +83,6 @@ class Plan:
         return LazyGroupBy(self._node, tuple(keys))
 
     # -- introspection -----------------------------------------------------
-    def logical(self) -> PlanNode:
-        """The unoptimized logical tree."""
-        return self._node
-
     def optimized(self) -> Tuple[PlanNode, Dict[str, int]]:
         """The optimized tree plus the rewrite-rule tally."""
         return _optimizer.optimize(self._node)
